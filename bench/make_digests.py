@@ -1,33 +1,28 @@
 """Write ``bench/digests.json``: the sha256 of the zoom-none sink output per
-size and seed, as the deterministic engine produces it.
+size and input seed, as the deterministic engine produces it.
 
-    python3 bench/make_digests.py [--seeds N]
+    python3 bench/make_digests.py
 
-A digest is stored only when the output also equals the per-window reference
-averages.  Every zoom-none and zoom-none-concurrent repetition whose seed
-has a stored digest must reproduce it.
+A digest is stored for each of the ``rep.INPUT_SEEDS`` input seeds, and only
+when the output also equals the per-window reference averages.  Every
+zoom-none and zoom-none-concurrent repetition must reproduce the digest of
+its input seed.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 
 import rep
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, default=100)
-    args = ap.parse_args()
-    if not rep.DIGESTS.exists():
-        rep.DIGESTS.write_text("{}\n")
     digests = {}
     for size in rep.SIZES:
         digests[size] = {}
-        for seed in range(args.seeds):
+        for seed in range(rep.INPUT_SEEDS):
             r = rep.Rep(seed, size, rep.tracing.NullTracer())
-            rep.zoom(r, "none", rep.DeterministicEngine)
+            rep.zoom(r, "none", rep.DeterministicEngine, check_digest=False)
             if r.failed:
                 raise SystemExit(f"size {size} seed {seed}: {r.errors}")
             digests[size][str(seed)] = r.extra["digest"]

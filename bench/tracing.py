@@ -43,60 +43,6 @@ NODES = (
 
 _COUNTERS = ("tuples_in", "guard_drops", "state_purged")
 
-# (name, unit) of every per-layer metric, in report order.
-PER_LAYER = (
-    [
-        ("core.matcher_calls", "count"),
-        ("core.matcher_s", "s"),
-        ("core.subsumes_calls", "count"),
-        ("core.subsumes_s", "s"),
-        ("core.conjoin_calls", "count"),
-        ("core.conjoin_s", "s"),
-        ("propagation.derive_calls", "count"),
-        ("propagation.derive_s", "s"),
-        ("propagation.refused_ratio", "ratio"),
-        ("operators.guard_checks", "count"),
-        ("operators.guard_scanned_per_check", "guards"),
-        ("operators.guard_hit_ratio", "ratio"),
-        ("operators.guard_drop_s", "s"),
-        ("operators.guards_max", "guards"),
-        ("operators.guard_expire_calls", "count"),
-        ("operators.guard_expire_s", "s"),
-        ("operators.window_close_calls", "count"),
-        ("operators.window_close_s", "s"),
-        ("operators.open_windows_per_close", "windows"),
-        ("operators.join_probe_s", "s"),
-        ("operators.join_expire_s", "s"),
-        ("operators.feedback_handle_s", "s"),
-    ]
-    + [
-        (f"operators.{n}.{m}", unit)
-        for n in NODES
-        for m, unit in (("self_s", "s"),) + tuple((c, "count") for c in _COUNTERS)
-    ]
-    + [
-        ("runtime.pages", "count"),
-        ("runtime.items_per_page", "items"),
-        ("runtime.flush_s", "s"),
-        ("runtime.overhead_ns_per_item", "ns/item"),
-        ("runtime.control_msgs", "count"),
-        ("runtime.queue_pages_max", "pages"),
-        ("runtime.build_s", "s"),
-    ]
-    + [(f"runtime.busy_share.{n}", "ratio") for n in NODES]
-    + [
-        ("oracle.reference_run_s", "s"),
-        ("oracle.observed_run_s", "s"),
-        ("oracle.def1_check_s", "s"),
-        ("generators.rows_s", "s"),
-        ("workloads.random_workload_s", "s"),
-        # filled in by run.py from the untraced and traced repetitions
-        ("trace.rows_per_s_untraced", "rows/s"),
-        ("trace.rows_per_s_traced", "rows/s"),
-        ("trace.overhead_ratio", "ratio"),
-    ]
-)
-
 
 class _ThreadState:
     __slots__ = ("thread", "stack", "stats", "counts", "highs", "spans")
@@ -111,8 +57,7 @@ class _ThreadState:
 
 
 class Tracer:
-    def __init__(self, span_cap: int = SPAN_CAP):
-        self.span_cap = span_cap
+    def __init__(self):
         self._local = threading.local()
         self._states = []
 
@@ -129,7 +74,6 @@ class Tracer:
         """Return ``fn`` wrapped so that each call records a span ``name``."""
         state = self._state
         clock = time.perf_counter_ns
-        cap = self.span_cap
 
         def traced(*args, **kwargs):
             st = state()
@@ -154,7 +98,7 @@ class Tracer:
                 agg[0] += 1
                 agg[1] += dur
                 agg[2] += dur - frame[2]
-                if len(st.spans) < cap:
+                if len(st.spans) < SPAN_CAP:
                     st.spans.append((name, pname, start, end))
 
         return traced
