@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 Row = tuple  # value vector, positionally aligned with a Schema
@@ -69,11 +70,13 @@ class Schema:
     def __len__(self) -> int:
         return len(self.attributes)
 
-    @property
+    # cached per instance (outside the dataclass fields, so equality and
+    # hashing are unchanged): the pattern algebra reads them on every call
+    @cached_property
     def attr_names(self) -> tuple:
         return tuple(n for n, _ in self.attributes)
 
-    @property
+    @cached_property
     def attr_types(self) -> tuple:
         return tuple(t for _, t in self.attributes)
 
@@ -173,6 +176,34 @@ class Constraint:
         hi_ok = v < self.hi or (self.hi_incl and v == self.hi)
         return lo_ok and hi_ok
 
+    def compile(self) -> Callable[[object], bool]:
+        """Value test specialised to this constraint's op; agrees with
+        ``matches_value`` (the interpretive reference) on every value."""
+        op = self.op
+        if op is Op.ANY:
+            return lambda v: True
+        if op is Op.RANGE:
+            lo, hi = self.lo, self.hi
+            if lo is None or hi is None:  # null bound: keep the reference's errors
+                return self.matches_value
+            if self.lo_incl:
+                if self.hi_incl:
+                    return lambda v: v is not None and lo <= v <= hi
+                return lambda v: v is not None and lo <= v < hi
+            if self.hi_incl:
+                return lambda v: v is not None and lo < v <= hi
+            return lambda v: v is not None and lo < v < hi
+        x = self.value
+        if op is Op.EQ:
+            return lambda v: v is not None and v == x
+        if op is Op.LT:
+            return lambda v: v is not None and v < x
+        if op is Op.LE:
+            return lambda v: v is not None and v <= x
+        if op is Op.GT:
+            return lambda v: v is not None and v > x
+        return lambda v: v is not None and v >= x
+
     @property
     def is_wildcard(self) -> bool:
         return self.op is Op.ANY
@@ -212,6 +243,8 @@ def _bounds(c: Constraint, discrete: bool):
     if op is Op.ANY:
         return (None, False, None, False)
     if op is Op.EQ:
+        if c.value is None:  # '=null' admits no value: an empty interval
+            return (1, False, 0, False)
         return (c.value, False, c.value, False)
     if op is Op.LT:
         lo, los, hi, his = None, False, c.value, True
@@ -337,18 +370,33 @@ class Pattern:
         return True
 
     def matcher(self) -> Callable[[Row], bool]:
-        """Compiled matcher closure over the non-wildcard constraints."""
+        """Compiled matcher closure over the non-wildcard constraints,
+        equivalent to ``matches``.
+
+        The benchmark tracer patches this method on the class and wraps
+        each closure it returns, so callers look it up as
+        ``pattern.matcher()`` rather than binding it ahead of time."""
         checks = [
-            (i, c.matches_value)
+            (i, c.compile())
             for i, c in enumerate(self.constraints)
             if not c.is_wildcard
         ]
         if not checks:
             return lambda row: True
         if len(checks) == 1:
-            i, f = checks[0]
+            ((i, f),) = checks
             return lambda row: f(row[i])
-        return lambda row: all(f(row[i]) for i, f in checks)
+        if len(checks) == 2:
+            (i, f), (j, g) = checks
+            return lambda row: f(row[i]) and g(row[j])
+
+        def match(row):
+            for i, f in checks:
+                if not f(row[i]):
+                    return False
+            return True
+
+        return match
 
     def format(self) -> str:
         return f"{self.schema.name}: [{', '.join(c.format() for c in self.constraints)}]"
@@ -377,14 +425,26 @@ def matches(row: Row, pattern: Pattern, schema: Optional[Schema] = None) -> bool
     return pattern.matches(row)
 
 
+def is_empty(q: Pattern) -> bool:
+    """True iff some orderable attribute's constraint admits no value, so
+    that no row matches q."""
+    for qc, t in zip(q.constraints, q.schema.attr_types):
+        if (
+            qc.op is not Op.ANY
+            and t.orderable
+            and _bounds_empty(_bounds(qc, t.discrete), t.discrete)
+        ):
+            return True
+    return False
+
+
 def subsumes(p: Pattern, q: Pattern) -> bool:
     """True iff every row matching q also matches p, decided attribute-wise."""
     _require_same_schema(p, q)
     types = p.schema.attr_types
     # an unsatisfiable q is subsumed by anything
-    for qc, t in zip(q.constraints, types):
-        if t.orderable and _bounds_empty(_bounds(qc, t.discrete), t.discrete):
-            return True
+    if is_empty(q):
+        return True
     for pc, qc, t in zip(p.constraints, q.constraints, types):
         if pc.is_wildcard:
             continue

@@ -16,6 +16,7 @@ import re
 import time
 from typing import Callable, Iterable, List, Optional, Tuple
 
+from punctstream import core
 from punctstream.core import (
     AttrType,
     Constraint,
@@ -44,49 +45,138 @@ from punctstream.runtime import Operator, RunError, SourceOperator
 # ---------------------------------------------------------------------------
 
 
+class _Guard:
+    """A pattern and the keys ``GuardSet`` places and pre-checks it by."""
+
+    __slots__ = ("pattern", "eqs", "hi")
+
+    def __init__(self, pattern: Pattern):
+        self.pattern = pattern
+        # (attribute index, value) of every equality constraint; the first
+        # one is the guard's bucket in the equality index
+        self.eqs = tuple(
+            (i, c.value) for i, c in enumerate(pattern.constraints) if c.op is Op.EQ
+        )
+        # inclusive upper bound on the progress attribute, None if unbounded
+        c = pattern.constraints[pattern.schema.timestamp_attr]
+        self.hi = _bounds(c, True)[2]
+
+    def may_subsume(self, other: "_Guard") -> bool:
+        """Cheap necessary condition for ``subsumes(self.pattern,
+        other.pattern)`` when ``other`` is satisfiable."""
+        if self.hi is not None and (other.hi is None or other.hi > self.hi):
+            return False
+        cs = other.pattern.constraints
+        for i, x in self.eqs:
+            c = cs[i]
+            if c.op is Op.ANY or (c.op is Op.EQ and c.value != x):
+                return False
+        return True
+
+
 class GuardSet:
     """Retained feedback patterns with punctuation-driven expiration.
 
     A guard expires once an embedded punctuation subsuming it has been
     processed: the stream then can no longer produce matching items, so
     keeping the pattern would only accumulate state.
+
+    Invariants, kept incrementally by ``add`` and ``expire``:
+
+    - Equality index: a guard with an equality constraint sits in exactly
+      one bucket, keyed by the attribute and value of its first one;
+      every other guard is in the scan list.  ``drop`` probes one bucket
+      per indexed attribute, then the scan list, and decides each
+      candidate with the pattern's compiled matcher.
+    - Subsumption-aware add: no live guard subsumes another, an empty
+      pattern is never added, and a pattern subsumed by a live guard is
+      skipped.  The rows ``drop`` matches are those matched by the
+      patterns added and not yet covered by a punctuation, so ``len``
+      can be smaller than that count but never larger.
+
+    ``add`` and ``expire`` scan the live guards, which are few, and call
+    ``core.subsumes`` only on those that pass ``_Guard.may_subsume``: a
+    punctuation ``ts <= b`` is tried only on guards bounded by ``b``.
+    The set is changed only from its operator's thread.
     """
 
-    __slots__ = ("_guards",)
+    __slots__ = ("_live", "_index", "_scan")
 
     def __init__(self):
-        self._guards = []  # list of (pattern, matcher)
+        self._live = {}   # _Guard -> None, in insertion order
+        self._index = {}  # attribute index -> {value: {_Guard: matcher}}
+        self._scan = {}   # _Guard -> matcher, guards without an equality
 
     def __len__(self):
-        return len(self._guards)
+        return len(self._live)
 
     def __bool__(self):
-        return bool(self._guards)
+        return bool(self._live)
 
     def add(self, pattern: Pattern) -> bool:
-        for p, _ in self._guards:
-            if p == pattern:
+        """Install ``pattern``; False when it changes nothing ``drop``
+        matches (it is empty or a live guard subsumes it)."""
+        if core.is_empty(pattern):
+            return False
+        new = _Guard(pattern)
+        for g in self._live:
+            if g.may_subsume(new) and core.subsumes(g.pattern, pattern):
                 return False
-        self._guards.append((pattern, pattern.matcher()))
+        for g in [
+            g for g in self._live
+            if new.may_subsume(g) and core.subsumes(pattern, g.pattern)
+        ]:
+            self._remove(g)
+        # looked up on the class at each call: the benchmark tracer
+        # patches Pattern.matcher to count guard checks
+        m = pattern.matcher()
+        self._live[new] = None
+        if new.eqs:
+            i, x = new.eqs[0]
+            self._index.setdefault(i, {}).setdefault(x, {})[new] = m
+        else:
+            self._scan[new] = m
         return True
 
     def drop(self, row) -> bool:
-        for _, m in self._guards:
+        for i, buckets in self._index.items():
+            bucket = buckets.get(row[i])
+            if bucket:
+                for m in bucket.values():
+                    if m(row):
+                        return True
+        for m in self._scan.values():
             if m(row):
                 return True
         return False
 
     def expire(self, punct_pattern: Pattern) -> int:
-        from punctstream.core import subsumes
-
-        before = len(self._guards)
-        self._guards = [
-            (p, m) for p, m in self._guards if not subsumes(punct_pattern, p)
+        if not self._live:
+            return 0
+        probe = _Guard(punct_pattern)
+        # core.subsumes is looked up on the module at each call, here and
+        # in add, never imported by name: the benchmark tracer patches it
+        doomed = [
+            g for g in self._live
+            if probe.may_subsume(g) and core.subsumes(punct_pattern, g.pattern)
         ]
-        return before - len(self._guards)
+        for g in doomed:
+            self._remove(g)
+        return len(doomed)
 
-    def patterns(self) -> list:
-        return [p for p, _ in self._guards]
+    def _remove(self, g: _Guard) -> None:
+        del self._live[g]
+        if not g.eqs:
+            del self._scan[g]
+            return
+        i, x = g.eqs[0]
+        buckets = self._index[i]
+        bucket = buckets[x]
+        del bucket[g]
+        if not bucket:
+            del buckets[x]
+            if not buckets:
+                del self._index[i]
 
 
 def _punct_ts_bound(pattern: Pattern, ts_idx: int) -> Optional[int]:
@@ -581,12 +671,6 @@ class Pace(Operator):
             if sent:
                 self.last_feedback_watermark = fb_bound
 
-    def timely_fraction(self, input_index: int) -> float:
-        seen = self.in_totals[input_index]
-        if seen == 0:
-            return 1.0
-        return 1.0 - self.late_counts[input_index] / seen
-
 
 class Union(Pace):
     def __init__(self, node_id, input_schemas):
@@ -661,7 +745,7 @@ class WindowAggregate(Operator):
         self.suppressed = set()  # keys guarded after purge
         self.input_guards = GuardSet()
         self.output_guards = GuardSet()
-        self._value_feedback: list = []  # live constraints (max only)
+        self._value_feedback: list = []  # compiled live constraints (max only)
         self._agg_out_idx = len(out_attrs) - 1
         self._out_punct_bound: Optional[int] = None
 
@@ -698,10 +782,6 @@ class WindowAggregate(Operator):
             return s / n if n else None
         return partial
 
-    def _partial_value(self, partial):
-        """Current aggregate value as it would be output."""
-        return self._result(partial)
-
     def process_item(self, input_index, item):
         if is_punct(item):
             self.input_guards.expire(item.pattern)
@@ -726,8 +806,8 @@ class WindowAggregate(Operator):
         partial = self._update(self.state.get(key), v)
         self.state[key] = partial
         if self.kind == "max" and self._value_feedback:
-            cur = self._partial_value(partial)
-            if cur is not None and any(c.matches_value(cur) for c in self._value_feedback):
+            cur = self._result(partial)
+            if cur is not None and any(test(cur) for test in self._value_feedback):
                 self._suppress_key(key, propagate=self.feedback_mode == "exploit_propagate")
 
     def _out_row(self, key, partial):
@@ -840,12 +920,12 @@ class WindowAggregate(Operator):
         doomed = [
             k
             for k in sorted(self.state)
-            if (v := self._partial_value(self.state[k])) is not None and c.matches_value(v)
+            if (v := self._result(self.state[k])) is not None and c.matches_value(v)
         ]
         for k in doomed:
             self._suppress_key(k, propagate)
         if self.kind == "max":
-            self._value_feedback.append(c)
+            self._value_feedback.append(c.compile())
 
 
 # ---------------------------------------------------------------------------
@@ -1073,9 +1153,6 @@ class Sink(Operator):
             for fb in self.time_injector(t):
                 self.sent_patterns.append(fb.pattern)
                 self.send_feedback(0, fb)
-
-    def rows(self) -> list:
-        return [i for i in self.collected if not is_punct(i)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,13 @@
 """Per-operator behavior: routing, imputation, pacing, window aggregation,
 join matching, punctuation handling, and guard expiration."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import punctstream.core as core
 from punctstream.core import (
     AttrType,
     Constraint,
@@ -14,6 +19,7 @@ from punctstream.core import (
 )
 from punctstream.operators import (
     REGISTRY,
+    GuardSet,
     compile_predicate,
     format_schema_decl,
     parse_schema_decl,
@@ -60,6 +66,175 @@ def test_predicate_null_semantics():
 def test_predicate_rejects_garbage():
     with pytest.raises(ValueError):
         compile_predicate("speed ~ 3", SENSOR)
+
+
+# --- guard sets ---------------------------------------------------------------
+
+# (det, seg, ts, speed) with ts the progress attribute
+GUARDED = Schema(
+    "guarded",
+    (
+        ("det", AttrType.INT),
+        ("seg", AttrType.INT),
+        ("ts", AttrType.TIMESTAMP),
+        ("speed", AttrType.FLOAT),
+    ),
+    2,
+)
+
+_GRID = list(itertools.product(
+    (0, 1), (0, 1, 2, None), list(range(10)) + [None], (1.0, None)
+))
+
+
+class ListGuards:
+    """Naive reference: a list of patterns, every one checked."""
+
+    def __init__(self):
+        self.patterns = []
+
+    def add(self, p):
+        if p not in self.patterns:
+            self.patterns.append(p)
+
+    def expire(self, punct):
+        self.patterns = [p for p in self.patterns if not core.subsumes(punct, p)]
+
+    def drop(self, row):
+        return any(p.matches(row) for p in self.patterns)
+
+
+def _small(values):
+    return st.sampled_from(values)
+
+
+@st.composite
+def ts_constraints(draw):
+    kind = draw(_small(["*", "=", "<=", ">=", "iv", "empty"]))
+    if kind == "*":
+        return C.wildcard()
+    if kind == "iv":
+        lo = draw(st.integers(0, 8))
+        return C.interval(lo, draw(st.integers(lo + 1, 10)))
+    if kind == "empty":  # e.g. (3,4) admits no integer
+        lo = draw(st.integers(0, 8))
+        return Constraint(core.Op.RANGE, lo=lo, hi=lo + 1, lo_incl=False)
+    return {"=": C.eq, "<=": C.le, ">=": C.ge}[kind](draw(st.integers(0, 9)))
+
+
+@st.composite
+def guard_patterns(draw):
+    det = draw(st.one_of(st.just(C.wildcard()), st.builds(C.eq, st.integers(0, 1))))
+    seg = draw(st.one_of(st.just(C.wildcard()), st.builds(C.eq, st.integers(0, 2)),
+                         st.builds(C.le, st.integers(0, 2))))
+    speed = draw(_small([C.wildcard(), C.wildcard(), C.ge(1.0), C.lt(1.0)]))
+    return Pattern(GUARDED, (det, seg, draw(ts_constraints()), speed))
+
+
+@st.composite
+def punctuations(draw):
+    b = draw(st.integers(-1, 10))
+    if draw(st.integers(0, 3)):  # mostly pure progress punctuation
+        return Pattern.of(GUARDED, ts=C.le(b))
+    return Pattern.of(GUARDED, seg=C.eq(draw(st.integers(0, 2))), ts=C.le(b))
+
+
+guard_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), guard_patterns()),
+        st.tuples(st.just("expire"), punctuations()),
+        st.tuples(st.just("drop"), _small(_GRID)),
+    ),
+    max_size=40,
+)
+
+
+@given(guard_ops)
+@settings(max_examples=200, deadline=None)
+def test_guard_set_agrees_with_list_model(ops):
+    guards, model = GuardSet(), ListGuards()
+    for op, arg in ops:
+        if op == "drop":
+            assert guards.drop(arg) == model.drop(arg), arg
+            continue
+        getattr(guards, op)(arg)
+        getattr(model, op)(arg)
+        assert len(guards) <= len(model.patterns)
+        if not model.patterns:
+            assert len(guards) == 0
+        for row in _GRID:
+            assert guards.drop(row) == model.drop(row), (op, arg, row)
+
+
+def test_guard_set_skips_and_replaces_subsumed_patterns():
+    guards = GuardSet()
+    wide = Pattern.of(GUARDED, seg=C.eq(1), ts=C.interval(0, 100))
+    narrow = Pattern.of(GUARDED, seg=C.eq(1), ts=C.interval(10, 20))
+    assert guards.add(narrow)
+    assert guards.add(wide)  # replaces narrow
+    assert len(guards) == 1
+    assert not guards.add(narrow)
+    assert not guards.add(wide)
+    assert not guards.add(Pattern.of(GUARDED, ts=Constraint(
+        core.Op.RANGE, lo=3, hi=4, lo_incl=False)))  # empty
+    assert len(guards) == 1
+
+
+def _counting_matchers(monkeypatch):
+    calls = [0]
+    make = Pattern.matcher
+
+    def matcher(self):
+        m = make(self)
+
+        def counted(row):
+            calls[0] += 1
+            return m(row)
+
+        return counted
+
+    monkeypatch.setattr(Pattern, "matcher", matcher)
+    return calls
+
+
+def test_guard_drop_runs_at_most_one_matcher_per_row(monkeypatch):
+    calls = _counting_matchers(monkeypatch)
+    guards = GuardSet()
+    for k in range(64):
+        guards.add(Pattern.of(GUARDED, seg=C.eq(k), ts=C.interval(10 * k, 10 * k + 50)))
+    assert len(guards) == 64
+    for seg in list(range(70)) + [None]:
+        for ts in (0, 5 * seg if seg is not None else 0, 1000):
+            calls[0] = 0
+            hit = guards.drop((0, seg, ts, 1.0))
+            assert calls[0] <= 1, (seg, ts)
+            assert hit == (seg is not None and seg < 64 and 10 * seg <= ts < 10 * seg + 50)
+
+
+def test_progress_punctuation_checks_only_covered_guards(monkeypatch):
+    checked = []
+    subsumes = core.subsumes
+
+    def counting(p, q):
+        checked.append(q)
+        return subsumes(p, q)
+
+    guards = GuardSet()
+    for k in range(64):
+        guards.add(Pattern.of(GUARDED, seg=C.eq(k), ts=C.le(k)))
+    guards.add(Pattern.of(GUARDED, ts=C.ge(5)))  # no upper bound: never covered
+    guards.add(Pattern.of(GUARDED, det=C.eq(1), ts=C.le(20)))  # any seg
+    # patched on the module, where GuardSet looks it up at each call
+    monkeypatch.setattr(core, "subsumes", counting)
+    assert guards.expire(Pattern.of(GUARDED, ts=C.le(9))) == 10
+    assert len(checked) == 10
+    assert len(guards) == 56
+    checked.clear()
+    # an equality in the punctuation rules out guards on other values or
+    # on any value of that attribute
+    assert guards.expire(Pattern.of(GUARDED, seg=C.eq(20), ts=C.le(30))) == 1
+    assert len(checked) == 1
+    assert len(guards) == 55
 
 
 # --- schema declarations and stream files -----------------------------------

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from punctstream.core import (
     AttrType,
     Constraint,
+    Op,
     Pattern,
     Schema,
     SchemaMismatchError,
@@ -204,6 +205,88 @@ def test_conjoin_coherence_property(p, q, vals):
     r = conjoin(p, q)
     got = False if r is None else matches(row, r)
     assert got == (matches(row, p) and matches(row, q))
+
+
+# --- compiled matchers against the interpretive reference ------------------
+
+_MIXED = Schema(
+    "mixed",
+    (
+        ("t", AttrType.TIMESTAMP),
+        ("f", AttrType.FLOAT),
+        ("s", AttrType.TEXT),
+        ("i", AttrType.INT),
+    ),
+    0,
+)
+
+_FLOATS = [-1.5, -1.0, 0.0, 0.5, 1.0, 2.0]
+_TEXTS = ["a", "b", ""]
+
+
+@st.composite
+def ordered_constraints(draw, values):
+    """Any op over ``values``; RANGE with all four inclusivities."""
+    op = draw(st.sampled_from(list(Op)))
+    if op is Op.ANY:
+        return C.wildcard()
+    if op is Op.RANGE:
+        lo, hi = sorted(draw(st.lists(values, min_size=2, max_size=2)))
+        return C(Op.RANGE, lo=lo, hi=hi, lo_incl=draw(st.booleans()),
+                 hi_incl=draw(st.booleans()))
+    if op is Op.EQ:
+        return C.eq(draw(st.one_of(values, st.none())))  # '=null' included
+    return C(op, value=draw(values))
+
+
+@st.composite
+def mixed_patterns(draw):
+    ints = st.integers(-2, 3)
+    return Pattern(_MIXED, (
+        draw(ordered_constraints(ints)),
+        draw(ordered_constraints(st.sampled_from(_FLOATS))),
+        draw(st.one_of(st.just(C.wildcard()),
+                       st.builds(C.eq, st.one_of(st.sampled_from(_TEXTS), st.none())))),
+        draw(ordered_constraints(ints)),
+    ))
+
+
+@st.composite
+def mixed_rows(draw):
+    ints = st.one_of(st.none(), st.integers(-3, 4))
+    floats = st.one_of(
+        st.none(), st.sampled_from(_FLOATS + [-3.0, 3.0, 1, float("nan")])
+    )
+    return (draw(ints), draw(floats),
+            draw(st.one_of(st.none(), st.sampled_from(_TEXTS))), draw(ints))
+
+
+@given(mixed_patterns(), mixed_rows())
+@settings(max_examples=600)
+def test_matcher_agrees_with_matches(p, row):
+    assert p.matcher()(row) == p.matches(row), (p, row)
+    for c, v in zip(p.constraints, row):
+        assert c.compile()(v) == c.matches_value(v), (c, v)
+
+
+def test_matcher_covers_every_arity():
+    cs = [C.eq(1), C.interval(0.0, 1.0), C.eq("a"), C.ge(2)]
+    hit = (1, 0.5, "a", 2)
+    for n in range(len(cs) + 1):
+        p = Pattern(_MIXED, tuple(cs[:n]) + (C.wildcard(),) * (len(cs) - n))
+        m = p.matcher()
+        assert m(hit)
+        for k in range(n):  # a miss on any one constrained attribute
+            assert not m(hit[:k] + (None,) + hit[k + 1:])
+
+
+def test_null_equality_is_empty(ts_value_schema):
+    nothing = pat(ts_value_schema, C.wildcard(), C.eq(None))
+    some = pat(ts_value_schema, C.wildcard(), C.lt(5))
+    assert not nothing.matches((0, None)) and not nothing.matches((0, 3))
+    assert subsumes(some, nothing)
+    assert not subsumes(nothing, some)
+    assert conjoin(nothing, some) is None
 
 
 # --- text syntax -----------------------------------------------------------
