@@ -9,12 +9,9 @@ rewritten patterns to their antecedents.
 from punctstream.core import (
     AttrType,
     Constraint,
-    ControlKind,
-    ControlMessage,
     EmbeddedPunctuation,
     FeedbackPunctuation,
     Intent,
-    Page,
     Pattern,
     Schema,
     SchemaMismatchError,
@@ -33,13 +30,10 @@ __all__ = [
     "AttrType",
     "AttributeMapping",
     "Constraint",
-    "ControlKind",
-    "ControlMessage",
     "EmbeddedPunctuation",
     "FeedbackPunctuation",
     "Intent",
     "Origin",
-    "Page",
     "Pattern",
     "Schema",
     "SchemaMismatchError",

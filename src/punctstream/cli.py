@@ -34,7 +34,6 @@ def _cmd_run(args) -> int:
         REGISTRY,
         page_size=args.page_size,
         feedback_enabled=not args.no_feedback,
-        seed=args.seed,
     )
     report = engine.run()
     if args.counters:

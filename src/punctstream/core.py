@@ -1,6 +1,6 @@
-"""Core data model: schemas, rows, punctuation patterns, pages, and
-control messages, plus the pattern algebra (matching, subsumption,
-conjunction).
+"""Core data model: schemas, rows, punctuation patterns and the two kinds
+of punctuation, plus the pattern algebra (matching, subsumption,
+conjunction) and its text syntax.
 
 Rows are plain Python tuples positionally aligned with their schema;
 ``None`` is the null value.  All types here are immutable after
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
@@ -483,7 +483,7 @@ def conjoin(p: Pattern, q: Pattern) -> Optional[Pattern]:
 
 
 # ---------------------------------------------------------------------------
-# Punctuation, stream items, pages, control messages
+# Punctuation and stream items
 # ---------------------------------------------------------------------------
 
 
@@ -517,60 +517,6 @@ StreamItem = Union[Row, EmbeddedPunctuation]
 
 def is_punct(item: StreamItem) -> bool:
     return type(item) is EmbeddedPunctuation
-
-
-@dataclass
-class Page:
-    """Fixed-capacity batch of stream items; the unit of data transfer."""
-
-    capacity: int
-    items: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.capacity <= 0:
-            raise ValueError("page capacity must be positive")
-
-    @property
-    def full(self) -> bool:
-        return len(self.items) >= self.capacity
-
-    @property
-    def has_punct(self) -> bool:
-        return any(is_punct(i) for i in self.items)
-
-
-class ControlKind(enum.Enum):
-    FEEDBACK = "feedback"          # upstream
-    END_OF_STREAM = "end_of_stream"  # downstream
-    SHUTDOWN = "shutdown"          # downstream
-
-
-class Direction(enum.Enum):
-    UPSTREAM = "upstream"
-    DOWNSTREAM = "downstream"
-
-
-_CONTROL_DIRECTION = {
-    ControlKind.FEEDBACK: Direction.UPSTREAM,
-    ControlKind.END_OF_STREAM: Direction.DOWNSTREAM,
-    ControlKind.SHUTDOWN: Direction.DOWNSTREAM,
-}
-
-
-@dataclass(frozen=True)
-class ControlMessage:
-    kind: ControlKind
-    payload: Optional[FeedbackPunctuation] = None
-
-    def __post_init__(self):
-        if self.kind is ControlKind.FEEDBACK and self.payload is None:
-            raise ValueError("feedback control message needs a payload")
-        if self.kind is not ControlKind.FEEDBACK and self.payload is not None:
-            raise ValueError(f"{self.kind.value} carries no payload")
-
-    @property
-    def direction(self) -> Direction:
-        return _CONTROL_DIRECTION[self.kind]
 
 
 # ---------------------------------------------------------------------------

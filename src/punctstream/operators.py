@@ -11,9 +11,11 @@ full output and the full output minus the feedback subset.
 
 from __future__ import annotations
 
+import inspect
 import operator as pyop
 import re
 import time
+import typing
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from punctstream import core
@@ -37,7 +39,7 @@ from punctstream.propagation import (
     derive_input_patterns,
     identity_mapping,
 )
-from punctstream.runtime import Operator, RunError, SourceOperator
+from punctstream.runtime import Operator, PlanError, RunError, SourceOperator
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +259,26 @@ def compile_predicate(expr, schema: Schema) -> Callable:
 class Source(SourceOperator):
     """Replays rows in order, interleaving progress punctuation every
     ``punct_interval`` seconds of stream time; a final punctuation covers
-    the whole stream so downstream guards can expire."""
+    the whole stream so downstream guards can expire.  The rows, and the
+    schema unless given, may come from a stream ``file``."""
 
     def __init__(
         self,
         node_id: str,
-        schema: Schema,
-        rows: Iterable,
+        schema: Optional[Schema] = None,
+        rows: Optional[Iterable] = None,
         punct_interval: Optional[int] = None,
         final_punct: bool = True,
+        file: Optional[str] = None,
     ):
+        if file is not None:
+            file_schema, file_rows = read_stream_file(file)
+            schema = file_schema if schema is None else schema
+            rows = file_rows if rows is None else rows
+        if schema is None or rows is None:
+            raise ValueError("source needs schema and rows, or a stream file")
+        if punct_interval is not None and punct_interval <= 0:
+            raise ValueError("punct_interval must be positive")
         super().__init__(node_id, schema)
         self.schema = schema
         self._iter = iter(rows)
@@ -1156,74 +1168,80 @@ class Sink(Operator):
 
 
 # ---------------------------------------------------------------------------
-# Registry: plan kind -> builder
+# Registry: plan kind -> operator class
 # ---------------------------------------------------------------------------
 
-
-def _one_input(schemas, kind):
-    if len(schemas) != 1:
-        raise ValueError(f"{kind} takes exactly one input, got {len(schemas)}")
-    return schemas[0]
+# accepted Python types per scalar annotation; bool is an int in Python but
+# never accepted as a number
+_SCALARS = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
 
 
-def _build_source(node_id, input_schemas, params):
-    if input_schemas:
-        raise ValueError("source takes no inputs")
-    if "file" in params:
-        schema, rows = read_stream_file(params.pop("file"))
-        params.setdefault("schema", schema)
-        params.setdefault("rows", rows)
-    return Source(node_id, **params)
+def _scalar(annotation) -> Optional[tuple]:
+    """(type, None allowed) for a scalar or optional scalar annotation;
+    None for any other annotation, which is left unchecked."""
+    union = typing.get_origin(annotation) is typing.Union
+    args = typing.get_args(annotation) if union else (annotation,)
+    scalars = [a for a in args if a is not type(None)]
+    if len(scalars) != 1 or scalars[0] not in _SCALARS:
+        return None
+    return scalars[0], len(scalars) < len(args)
 
 
-def _build_select(node_id, input_schemas, params):
-    return Select(node_id, _one_input(input_schemas, "select"), **params)
+def _fits(value, t: type, optional: bool) -> bool:
+    if value is None:
+        return optional
+    if isinstance(value, bool):
+        return t is bool
+    return isinstance(value, _SCALARS[t])
 
 
-def _build_split(node_id, input_schemas, params):
-    return Split(node_id, _one_input(input_schemas, "split"), **params)
+class OperatorKind:
+    """A plan node kind: the operator class, its number of inputs (None for
+    one or more) and the constructor arguments the kind fixes.  The class's
+    constructor declares the parameters a plan may set; they are read from
+    its signature once, here, and every node's parameters are checked
+    against them before the operator is built."""
 
+    def __init__(self, cls, arity: Optional[int], **fixed):
+        self.cls = cls
+        self.arity = arity
+        self.fixed = fixed
+        declared = list(inspect.signature(cls, eval_str=True).parameters.values())
+        # past the node id and, for operators with inputs, the input schemas
+        declared = [p for p in declared[1 if arity == 0 else 2:] if p.name not in fixed]
+        self.params = {p.name: _scalar(p.annotation) for p in declared}
+        self.required = [p.name for p in declared if p.default is p.empty]
 
-def _build_impute(node_id, input_schemas, params):
-    return Impute(node_id, _one_input(input_schemas, "impute"), **params)
-
-
-def _build_pace(node_id, input_schemas, params):
-    return Pace(node_id, tuple(input_schemas), **params)
-
-
-def _build_union(node_id, input_schemas, params):
-    return Union(node_id, tuple(input_schemas), **params)
-
-
-def _build_agg(kind):
-    def build(node_id, input_schemas, params):
-        params = dict(params)
-        params.setdefault("kind", kind)
-        return WindowAggregate(node_id, _one_input(input_schemas, kind), **params)
-
-    return build
-
-
-def _build_join(node_id, input_schemas, params):
-    return Join(node_id, tuple(input_schemas), **params)
-
-
-def _build_sink(node_id, input_schemas, params):
-    return Sink(node_id, _one_input(input_schemas, "sink"), **params)
+    def __call__(self, node_id: str, input_schemas: tuple, params: dict) -> Operator:
+        n = len(input_schemas)
+        if self.arity is not None and n != self.arity:
+            raise PlanError(f"takes {self.arity} input(s), got {n}")
+        for name, value in params.items():
+            if name not in self.params:
+                raise PlanError(
+                    f"unknown parameter {name!r}; accepted: {', '.join(self.params)}"
+                )
+            check = self.params[name]
+            if check is not None and not _fits(value, *check):
+                t, optional = check
+                expected = t.__name__ + (" or None" if optional else "")
+                raise PlanError(f"parameter {name!r} must be {expected}, got {value!r}")
+        missing = [name for name in self.required if name not in params]
+        if missing:
+            raise PlanError(f"missing parameter(s) {', '.join(missing)}")
+        # no input or one: positional; more: as one tuple
+        schemas = input_schemas if self.arity in (0, 1) else (input_schemas,)
+        return self.cls(node_id, *schemas, **self.fixed, **params)
 
 
 REGISTRY = {
-    "source": _build_source,
-    "select": _build_select,
-    "split": _build_split,
-    "impute": _build_impute,
-    "pace": _build_pace,
-    "union": _build_union,
-    "count": _build_agg("count"),
-    "sum": _build_agg("sum"),
-    "average": _build_agg("average"),
-    "max": _build_agg("max"),
-    "join": _build_join,
-    "sink": _build_sink,
+    "source": OperatorKind(Source, 0),
+    "select": OperatorKind(Select, 1),
+    "split": OperatorKind(Split, 1),
+    "impute": OperatorKind(Impute, 1),
+    "pace": OperatorKind(Pace, None),
+    "union": OperatorKind(Union, None),
+    **{kind: OperatorKind(WindowAggregate, 1, kind=kind) for kind in _AGG_KINDS},
+    "join": OperatorKind(Join, 2),
+    "sink": OperatorKind(Sink, 1),
 }

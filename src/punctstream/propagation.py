@@ -105,8 +105,8 @@ def rewrite_window_constraint(c: Constraint, r: int) -> Optional[Constraint]:
     if c.op is Op.ANY:
         return c
     if c.op is Op.EQ:
-        if c.value % r != 0:
-            return None
+        if c.value is None or c.value % r != 0:
+            return None  # no window start is null
         return Constraint.interval(c.value, c.value + r)
     if c.op is Op.LT:
         return Constraint.lt(_ceil_mult(c.value, r))

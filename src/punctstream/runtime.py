@@ -1,12 +1,18 @@
-"""Execution substrate: operator contract, paged bounded queues, the
-upstream control channel, and two schedulers.
+"""Execution substrate: the operator contract, plans, and one engine core
+with two schedulers.
 
-The deterministic scheduler runs everything on one thread, visiting
-operators in topological order round-robin.  Each turn drains pending
-control messages first (high priority), then consumes data items until a
-work-unit quantum is spent.  Equal seeds and configs replay bit-identically.
-The concurrent scheduler runs one thread per operator with blocking
-bounded queues; correctness must not depend on delivery timing.
+Operators exchange pages, plain lists of stream items, over one bounded
+queue per edge.  Feedback punctuation travels the other way, on each
+edge's upstream control channel, and is delivered before pending data.
+The engine core wires a plan, pages operator output onto the edges,
+carries feedback, and tracks input ends; the two schedulers differ only in
+how they run the operators.  The deterministic scheduler runs everything
+on one thread, visiting operators in topological order round-robin: each
+turn drains pending feedback first, then consumes data items until a
+work-unit quantum is spent, so equal plans and settings replay
+bit-identically.  The concurrent scheduler runs one thread per operator
+with blocking bounded queues; correctness must not depend on delivery
+timing.
 """
 
 from __future__ import annotations
@@ -16,17 +22,9 @@ import io
 import threading
 from collections import deque
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from punctstream.core import (
-    ControlKind,
-    ControlMessage,
-    EmbeddedPunctuation,
-    FeedbackPunctuation,
-    Page,
-    Schema,
-    is_punct,
-)
+from punctstream.core import FeedbackPunctuation, is_punct
 
 DEFAULT_PAGE_SIZE = 100
 DEFAULT_QUEUE_PAGES = 8
@@ -36,11 +34,12 @@ _MIN_ITEM_COST = 0.01
 
 
 class PlanError(ValueError):
-    """Plan fails validation (bad edge, schema mismatch, cycle)."""
+    """Plan fails validation (bad edge, schema mismatch, cycle, unknown
+    kind or parameter, parameter of the wrong type)."""
 
 
 class RunError(RuntimeError):
-    """Execution failed (deadlock, malformed input)."""
+    """Execution failed (deadlock, malformed input, a failing operator)."""
 
 
 @dataclass
@@ -121,9 +120,6 @@ class SourceOperator(Operator):
         ``self.exhausted`` when done."""
         raise NotImplementedError
 
-    def process_item(self, input_index, item):  # pragma: no cover
-        raise RunError("sources have no inputs")
-
 
 # ---------------------------------------------------------------------------
 # Plan graph
@@ -180,8 +176,8 @@ def _parse_ref(ref: str) -> Tuple[str, int]:
 
 
 class Edge:
-    """One producer port to one consumer input: paged FIFO of data plus an
-    upstream FIFO of control messages."""
+    """One producer port to one consumer input: a bounded FIFO of pages plus
+    an upstream FIFO of feedback punctuation."""
 
     __slots__ = (
         "producer", "port", "consumer", "input_index", "schema",
@@ -247,104 +243,71 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Shared wiring
+# Engine core, shared by both schedulers
 # ---------------------------------------------------------------------------
 
 
-def build_operators(plan: Plan, registry: dict, seed: int = 0):
-    """Instantiate operators and edges in topological order, validating
-    schemas along every edge."""
-    order = plan.topo_order()
-    ops: Dict[str, Operator] = {}
-    in_edges: Dict[str, list] = {}
-    out_edges: Dict[str, dict] = {}
-    edges: List[Edge] = []
-    for node_id in order:
-        node = plan.nodes[node_id]
-        input_schemas = []
-        refs = []
-        for ref in node.inputs:
-            src, port = _parse_ref(ref)
-            producer = ops[src]
-            if not (0 <= port < producer.n_outputs):
-                raise PlanError(f"edge {src}.{port}->{node_id}: no such output port")
-            input_schemas.append(producer.output_schemas[port])
-            refs.append((src, port))
-        builder = registry.get(node.kind)
-        if builder is None:
-            raise PlanError(f"unknown operator kind {node.kind!r} at node {node_id!r}")
-        try:
-            op = builder(node_id, tuple(input_schemas), dict(node.params))
-        except (ValueError, KeyError) as exc:
-            raise PlanError(f"node {node_id!r} ({node.kind}): {exc}") from exc
-        ops[node_id] = op
-        in_edges[node_id] = []
-        out_edges[node_id] = {}
-    return order, ops, in_edges, out_edges, edges
+class _Engine:
+    """Wires a plan into operators and edges, pages operator output onto the
+    edges and carries feedback back up them.  A subclass supplies the
+    scheduler: ``run``, and how a page is handed over (``_put``) and an
+    operator woken (``_wake``)."""
 
-
-def wire_edges(plan, order, ops, in_edges, out_edges, edges, queue_pages):
-    for node_id in order:
-        node = plan.nodes[node_id]
-        for idx, ref in enumerate(node.inputs):
-            src, port = _parse_ref(ref)
-            if port in out_edges[src]:
-                raise PlanError(
-                    f"output {src}.{port} already connected; queues are one-to-one"
-                )
-            edge = Edge(src, port, node_id, idx, ops[src].output_schemas[port], queue_pages)
-            edges.append(edge)
-            in_edges[node_id].append(edge)
-            out_edges[src][port] = edge
-    for node_id, op in ops.items():
-        missing = [p for p in range(op.n_outputs) if p not in out_edges[node_id]]
-        if missing and not _is_sink(op):
-            raise PlanError(f"node {node_id!r}: unconnected output ports {missing}")
-
-
-def _is_sink(op: Operator) -> bool:
-    return op.n_outputs == 0
-
-
-# ---------------------------------------------------------------------------
-# Deterministic single-threaded engine
-# ---------------------------------------------------------------------------
-
-
-class DeterministicEngine:
     def __init__(
         self,
         plan: Plan,
         registry: dict,
         page_size: int = DEFAULT_PAGE_SIZE,
         queue_pages: int = DEFAULT_QUEUE_PAGES,
-        quantum: Optional[float] = None,
         feedback_enabled: bool = True,
         transfer_cost: float = 0.0,
-        trace_pages: bool = False,
-        seed: int = 0,
     ):
         self.page_size = page_size
-        self.queue_pages = queue_pages
-        self.quantum = float(quantum if quantum is not None else page_size)
         self.feedback_enabled = feedback_enabled
         self.transfer_cost = transfer_cost
-        self.trace_pages = trace_pages
-        self.seed = seed
         self.feedback_log: list = []
-        self.page_log: Optional[list] = [] if trace_pages else None
-
-        (self.order, self.ops, self.in_edges, self.out_edges, self.edges) = build_operators(
-            plan, registry, seed
-        )
-        wire_edges(plan, self.order, self.ops, self.in_edges, self.out_edges, self.edges, queue_pages)
+        self.page_log: Optional[list] = None
+        self.order = plan.topo_order()
+        self.ops: Dict[str, Operator] = {}
+        self.in_edges: Dict[str, list] = {}
+        self.out_edges: Dict[str, dict] = {}
+        # in topological order every producer exists before its consumers,
+        # so each node is built from the schemas of the edges into it
+        for node_id in self.order:
+            node = plan.nodes[node_id]
+            edges = []
+            for idx, ref in enumerate(node.inputs):
+                src, port = _parse_ref(ref)
+                producer = self.ops[src]
+                if not (0 <= port < producer.n_outputs):
+                    raise PlanError(f"edge {src}.{port}->{node_id}: no such output port")
+                if port in self.out_edges[src]:
+                    raise PlanError(
+                        f"output {src}.{port} already connected; queues are one-to-one"
+                    )
+                edge = Edge(src, port, node_id, idx, producer.output_schemas[port], queue_pages)
+                self.out_edges[src][port] = edge
+                edges.append(edge)
+            kind = registry.get(node.kind)
+            if kind is None:
+                raise PlanError(f"unknown operator kind {node.kind!r} at node {node_id!r}")
+            try:
+                op = kind(node_id, tuple(e.schema for e in edges), node.params)
+            except (ValueError, KeyError, TypeError) as exc:
+                raise PlanError(f"node {node_id!r} ({node.kind}): {exc}") from exc
+            op._ctx = self
+            self.ops[node_id] = op
+            self.in_edges[node_id] = edges
+            self.out_edges[node_id] = {}
+        for node_id, op in self.ops.items():
+            missing = [p for p in range(op.n_outputs) if p not in self.out_edges[node_id]]
+            if missing:
+                raise PlanError(f"node {node_id!r}: unconnected output ports {missing}")
         self._buffers = {
             (op_id, port): []
             for op_id, ports in self.out_edges.items()
             for port in ports
         }
-        for op in self.ops.values():
-            op._ctx = self
 
     # -- context API ---------------------------------------------------
     def emit(self, op: Operator, port: int, item) -> None:
@@ -362,13 +325,19 @@ class DeterministicEngine:
         if not buf:
             return
         edge = self.out_edges[op.id][port]
-        page = Page(self.page_size, buf[:])
+        page = buf[:]
         buf.clear()
-        edge.pages.append(page)
+        self._put(edge, page)
         if self.transfer_cost:
-            op.counters.work_units += self.transfer_cost * len(page.items)
+            op.counters.work_units += self.transfer_cost * len(page)
         if self.page_log is not None:
-            self.page_log.append((edge.key, len(page.items), page.has_punct, page.capacity))
+            self.page_log.append((edge.key, len(page), any(map(is_punct, page)), self.page_size))
+
+    def _put(self, edge: Edge, page: list) -> None:
+        edge.pages.append(page)
+
+    def _wake(self, op_id: str) -> None:
+        """Called after something ``op_id`` may be waiting for has changed."""
 
     def send_feedback(self, op: Operator, input_index: int, fb: FeedbackPunctuation) -> None:
         if not self.feedback_enabled:
@@ -376,117 +345,41 @@ class DeterministicEngine:
         edge = self.in_edges[op.id][input_index]
         if edge.eos and not edge.pages:
             return  # closed edge: message dropped
-        edge.control_up.append(ControlMessage(ControlKind.FEEDBACK, fb))
+        edge.control_up.append(fb)
         op.counters.feedback_sent += 1
         self.feedback_log.append((edge.key, fb.intent.value, fb.pattern.format()))
+        self._wake(edge.producer)
 
-    # -- execution -----------------------------------------------------
-    def run(self) -> RunReport:
-        cursors = {op_id: None for op_id in self.order}  # (edge, page, index)
-        rr_input = {op_id: 0 for op_id in self.order}
-        ended_inputs = {op_id: set() for op_id in self.order}
-        finished = set()
+    # -- bookkeeping shared by the schedulers ----------------------------
+    def _drain_control(self, op: Operator) -> bool:
+        """Deliver the feedback pending on ``op``'s outputs; True if any was."""
+        did = False
+        for port, edge in self.out_edges[op.id].items():
+            control = edge.control_up
+            while control:
+                op.on_feedback(port, control.popleft())
+                did = True
+        return did
 
-        def drain_control(op: Operator) -> bool:
-            did = False
-            for port, edge in self.out_edges[op.id].items():
-                while edge.control_up:
-                    msg = edge.control_up.popleft()
-                    op.on_feedback(port, msg.payload)
-                    did = True
-            return did
+    def _end_inputs(self, op: Operator, ended: set) -> bool:
+        """Tell ``op`` of each input that has closed and been consumed since
+        the last call, adding it to ``ended``; True if there was one."""
+        did = False
+        for edge in self.in_edges[op.id]:
+            if edge.eos and not edge.pages and edge.input_index not in ended:
+                ended.add(edge.input_index)
+                op.on_input_end(edge.input_index)
+                did = True
+        return did
 
-        def next_item(op_id: str):
-            """Return (input_index, item) or None; round-robin across inputs
-            at page granularity."""
-            cur = cursors[op_id]
-            if cur is not None:
-                edge, page, idx = cur
-                item = page.items[idx]
-                if idx + 1 < len(page.items):
-                    cursors[op_id] = (edge, page, idx + 1)
-                else:
-                    cursors[op_id] = None
-                return edge.input_index, item
-            edges = self.in_edges[op_id]
-            n = len(edges)
-            start = rr_input[op_id]
-            for k in range(n):
-                edge = edges[(start + k) % n]
-                if edge.pages:
-                    rr_input[op_id] = ((start + k) % n + 1) % n
-                    page = edge.pages.popleft()
-                    cursors[op_id] = (edge, page, 0)
-                    return next_item(op_id)
-            return None
-
-        def finish_op(op: Operator) -> None:
-            op.finish()
-            for port in self.out_edges[op.id]:
-                self._flush(op, port)
-                self.out_edges[op.id][port].eos = True
-            finished.add(op.id)
-
-        while len(finished) < len(self.order):
-            progress = False
-            for op_id in self.order:
-                if op_id in finished:
-                    continue
-                op = self.ops[op_id]
-                if drain_control(op):
-                    progress = True
-                # backpressure: yield while any output queue is full
-                if any(
-                    len(e.pages) >= e.capacity_pages
-                    for e in self.out_edges[op_id].values()
-                ):
-                    continue
-                if op.is_source:
-                    if not op.exhausted:
-                        before = op.counters.tuples_out + op.counters.puncts_out
-                        op.generate(self.quantum)
-                        if (op.counters.tuples_out + op.counters.puncts_out) != before or op.exhausted:
-                            progress = True
-                    if op.exhausted:
-                        finish_op(op)
-                        progress = True
-                    continue
-                spent = 0.0
-                before_work = op.counters.work_units
-                items_done = 0
-                while spent < self.quantum:
-                    nxt = next_item(op_id)
-                    if nxt is None:
-                        for edge in self.in_edges[op_id]:
-                            if (
-                                edge.eos
-                                and not edge.pages
-                                and edge.input_index not in ended_inputs[op_id]
-                            ):
-                                ended_inputs[op_id].add(edge.input_index)
-                                op.on_input_end(edge.input_index)
-                                progress = True
-                        if len(ended_inputs[op_id]) == len(self.in_edges[op_id]):
-                            finish_op(op)
-                            progress = True
-                        break
-                    input_index, item = nxt
-                    if is_punct(item):
-                        op.counters.puncts_in += 1
-                    else:
-                        op.counters.tuples_in += 1
-                    op.process_item(input_index, item)
-                    items_done += 1
-                    progress = True
-                    spent = max(
-                        op.counters.work_units - before_work,
-                        items_done * _MIN_ITEM_COST,
-                    )
-            if not progress:
-                blocked = [o for o in self.order if o not in finished]
-                raise RunError(f"deadlock: no runnable operator among {blocked}")
-
-        return self._report()
+    def _finish(self, op: Operator) -> None:
+        """``op`` has no more input: let it flush its state, then close its
+        outputs."""
+        op.finish()
+        for port, edge in self.out_edges[op.id].items():
+            self._flush(op, port)
+            edge.eos = True
+            self._wake(edge.consumer)
 
     def _report(self) -> RunReport:
         outputs = {}
@@ -506,166 +399,225 @@ class DeterministicEngine:
 
 
 # ---------------------------------------------------------------------------
-# Concurrent engine: one thread per operator
+# Deterministic single-threaded scheduler
 # ---------------------------------------------------------------------------
 
 
-class _ConcurrentEdge:
-    def __init__(self, edge: Edge):
-        self.edge = edge
-        self.lock = threading.Lock()
-        self.not_full = threading.Condition(self.lock)
-        self.closed = False
-
-
-class ConcurrentEngine:
-    """Operators run as threads connected by bounded paged queues; control
-    messages wake the receiver and are processed before pending data."""
-
+class DeterministicEngine(_Engine):
     def __init__(
         self,
         plan: Plan,
         registry: dict,
         page_size: int = DEFAULT_PAGE_SIZE,
         queue_pages: int = DEFAULT_QUEUE_PAGES,
+        quantum: Optional[float] = None,
         feedback_enabled: bool = True,
         transfer_cost: float = 0.0,
-        seed: int = 0,
+        trace_pages: bool = False,
     ):
-        self.page_size = page_size
-        self.feedback_enabled = feedback_enabled
-        self.transfer_cost = transfer_cost
-        self.feedback_log: list = []
-        self._log_lock = threading.Lock()
-        self.page_log = None
+        super().__init__(plan, registry, page_size, queue_pages, feedback_enabled, transfer_cost)
+        self.quantum = float(quantum if quantum is not None else page_size)
+        if trace_pages:
+            self.page_log = []
 
-        (self.order, self.ops, self.in_edges, self.out_edges, self.edges) = build_operators(
-            plan, registry, seed
-        )
-        wire_edges(plan, self.order, self.ops, self.in_edges, self.out_edges, self.edges, queue_pages)
-        self._cedges = {e.key: _ConcurrentEdge(e) for e in self.edges}
-        self._wakeups = {op_id: threading.Condition() for op_id in self.order}
-        self._buffers = {
-            (op_id, port): []
-            for op_id, ports in self.out_edges.items()
-            for port in ports
-        }
-        self._errors: list = []
-        for op in self.ops.values():
-            op._ctx = self
+    def run(self) -> RunReport:
+        cursors = {op_id: None for op_id in self.order}  # (edge, page, index)
+        rr_input = {op_id: 0 for op_id in self.order}
+        ended_inputs = {op_id: set() for op_id in self.order}
+        finished = set()
+        drain_control = self._drain_control
+
+        def next_item(op_id: str):
+            """Return (input_index, item) or None; round-robin across inputs
+            at page granularity."""
+            cur = cursors[op_id]
+            if cur is not None:
+                edge, page, idx = cur
+                item = page[idx]
+                if idx + 1 < len(page):
+                    cursors[op_id] = (edge, page, idx + 1)
+                else:
+                    cursors[op_id] = None
+                return edge.input_index, item
+            edges = self.in_edges[op_id]
+            n = len(edges)
+            start = rr_input[op_id]
+            for k in range(n):
+                edge = edges[(start + k) % n]
+                if edge.pages:
+                    rr_input[op_id] = ((start + k) % n + 1) % n
+                    page = edge.pages.popleft()
+                    cursors[op_id] = (edge, page, 0)
+                    return next_item(op_id)
+            return None
+
+        def finish_op(op: Operator) -> None:
+            self._finish(op)
+            finished.add(op.id)
+
+        op_id = None
+        try:
+            while len(finished) < len(self.order):
+                progress = False
+                for op_id in self.order:
+                    if op_id in finished:
+                        continue
+                    op = self.ops[op_id]
+                    if drain_control(op):
+                        progress = True
+                    # backpressure: yield while any output queue is full
+                    if any(
+                        len(e.pages) >= e.capacity_pages
+                        for e in self.out_edges[op_id].values()
+                    ):
+                        continue
+                    if op.is_source:
+                        if not op.exhausted:
+                            before = op.counters.tuples_out + op.counters.puncts_out
+                            op.generate(self.quantum)
+                            if (op.counters.tuples_out + op.counters.puncts_out) != before or op.exhausted:
+                                progress = True
+                        if op.exhausted:
+                            finish_op(op)
+                            progress = True
+                        continue
+                    spent = 0.0
+                    before_work = op.counters.work_units
+                    items_done = 0
+                    while spent < self.quantum:
+                        nxt = next_item(op_id)
+                        if nxt is None:
+                            if self._end_inputs(op, ended_inputs[op_id]):
+                                progress = True
+                            if len(ended_inputs[op_id]) == len(self.in_edges[op_id]):
+                                finish_op(op)
+                                progress = True
+                            break
+                        input_index, item = nxt
+                        if is_punct(item):
+                            op.counters.puncts_in += 1
+                        else:
+                            op.counters.tuples_in += 1
+                        op.process_item(input_index, item)
+                        items_done += 1
+                        progress = True
+                        spent = max(
+                            op.counters.work_units - before_work,
+                            items_done * _MIN_ITEM_COST,
+                        )
+                if not progress:
+                    break
+        except Exception as exc:
+            raise RunError(f"operator {op_id!r} failed: {exc}") from exc
+        if len(finished) < len(self.order):
+            blocked = [o for o in self.order if o not in finished]
+            raise RunError(f"deadlock: no runnable operator among {blocked}")
+        return self._report()
+
+
+# ---------------------------------------------------------------------------
+# Concurrent scheduler: one thread per operator
+# ---------------------------------------------------------------------------
+
+
+class _Aborted(Exception):
+    """Unwinds an operator thread after another operator has failed."""
+
+
+class ConcurrentEngine(_Engine):
+    """Operators run as threads connected by the bounded paged queues.  A
+    thread waits on its own condition until a page, the end of an input,
+    feedback or an abort is pending, and delivers feedback before pending
+    data.  The first operator to fail aborts every thread."""
 
     def _wake(self, op_id: str) -> None:
         cond = self._wakeups[op_id]
         with cond:
             cond.notify_all()
 
-    # -- context API ---------------------------------------------------
-    def emit(self, op: Operator, port: int, item) -> None:
-        if is_punct(item):
-            op.counters.puncts_out += 1
-        else:
-            op.counters.tuples_out += 1
-        buf = self._buffers[(op.id, port)]
-        buf.append(item)
-        if len(buf) >= self.page_size or is_punct(item):
-            self._flush(op, port)
+    # Each edge has one producer thread, the only one to append, and one
+    # consumer thread, the only one to pop, so a thread that finds a page or
+    # room finds it still there when it acts.  A consumer sleeps only on
+    # empty inputs and a producer only on a full queue, so only the page that
+    # ends either state need wake the other side.
 
-    def _flush(self, op: Operator, port: int) -> None:
-        buf = self._buffers[(op.id, port)]
-        if not buf:
-            return
-        edge = self.out_edges[op.id][port]
-        ce = self._cedges[edge.key]
-        page = Page(self.page_size, buf[:])
-        buf.clear()
-        with ce.not_full:
-            while len(edge.pages) >= edge.capacity_pages and not ce.closed:
-                ce.not_full.wait(0.05)
-            edge.pages.append(page)
-        if self.transfer_cost:
-            op.counters.work_units += self.transfer_cost * len(page.items)
-        self._wake(edge.consumer)
+    def _put(self, edge: Edge, page: list) -> None:
+        pages = edge.pages
+        if len(pages) >= edge.capacity_pages:
+            cond = self._wakeups[edge.producer]
+            with cond:
+                cond.wait_for(lambda: len(pages) < edge.capacity_pages or self._aborted)
+        if self._aborted:
+            raise _Aborted
+        pages.append(page)
+        if len(pages) == 1:
+            self._wake(edge.consumer)
 
-    def send_feedback(self, op: Operator, input_index: int, fb: FeedbackPunctuation) -> None:
-        if not self.feedback_enabled:
-            return
-        edge = self.in_edges[op.id][input_index]
-        if edge.eos and not edge.pages:
-            return
-        edge.control_up.append(ControlMessage(ControlKind.FEEDBACK, fb))
-        op.counters.feedback_sent += 1
-        with self._log_lock:
-            self.feedback_log.append((edge.key, fb.intent.value, fb.pattern.format()))
-        self._wake(edge.producer)
-
-    # -- execution -----------------------------------------------------
     def _run_op(self, op_id: str) -> None:
         op = self.ops[op_id]
         try:
             if op.is_source:
+                generate = op.generate
                 while not op.exhausted:
                     self._drain_control(op)
-                    op.generate(self.page_size)
-                self._drain_control(op)
-                self._close_outputs(op)
-                return
-            ended = set()
-            rr = 0
-            edges = self.in_edges[op_id]
-            while True:
-                self._drain_control(op)
-                page_edge = None
-                for k in range(len(edges)):
-                    e = edges[(rr + k) % len(edges)]
-                    ce = self._cedges[e.key]
-                    with ce.lock:
-                        if e.pages:
-                            page = e.pages.popleft()
-                            ce.not_full.notify_all()
-                            page_edge = (e, page)
-                            rr = ((rr + k) % len(edges) + 1) % len(edges)
+                    generate(self.page_size)
+            else:
+                edges = self.in_edges[op_id]
+                outputs = list(self.out_edges[op_id].values())
+                cond = self._wakeups[op_id]
+                ended = set()
+
+                def pending() -> bool:
+                    # read under ``cond``, which every waker takes to notify
+                    return (
+                        self._aborted
+                        or any(e.pages or (e.eos and e.input_index not in ended) for e in edges)
+                        or any(e.control_up for e in outputs)
+                    )
+
+                process_item = op.process_item
+                counters = op.counters
+                n = len(edges)
+                rr = 0
+                while True:
+                    self._drain_control(op)
+                    for k in range(n):
+                        edge = edges[(rr + k) % n]
+                        if edge.pages:
+                            page = edge.pages.popleft()
+                            if len(edge.pages) == edge.capacity_pages - 1:
+                                self._wake(edge.producer)
+                            rr = (rr + k + 1) % n
                             break
-                if page_edge is None:
-                    for e in edges:
-                        if e.eos and not e.pages and e.input_index not in ended:
-                            ended.add(e.input_index)
-                            op.on_input_end(e.input_index)
-                    if len(ended) == len(edges):
-                        break
-                    cond = self._wakeups[op_id]
-                    with cond:
-                        cond.wait(0.01)
-                    continue
-                e, page = page_edge
-                for item in page.items:
-                    if is_punct(item):
-                        op.counters.puncts_in += 1
                     else:
-                        op.counters.tuples_in += 1
-                    op.process_item(e.input_index, item)
-            op.finish()
-            self._close_outputs(op)
-        except Exception as exc:  # surfaced after join
+                        self._end_inputs(op, ended)
+                        if len(ended) == n:
+                            break
+                        with cond:
+                            cond.wait_for(pending)
+                        if self._aborted:
+                            raise _Aborted
+                        continue
+                    index = edge.input_index
+                    for item in page:
+                        if is_punct(item):
+                            counters.puncts_in += 1
+                        else:
+                            counters.tuples_in += 1
+                        process_item(index, item)
+            self._finish(op)
+        except _Aborted:
+            pass
+        except Exception as exc:
             self._errors.append((op_id, exc))
-            self._close_outputs(op)
-
-    def _drain_control(self, op: Operator) -> None:
-        for port, edge in self.out_edges[op.id].items():
-            while edge.control_up:
-                msg = edge.control_up.popleft()
-                op.on_feedback(port, msg.payload)
-
-    def _close_outputs(self, op: Operator) -> None:
-        for port, edge in self.out_edges[op.id].items():
-            self._flush(op, port)
-            edge.eos = True
-            ce = self._cedges[edge.key]
-            with ce.not_full:
-                ce.closed = True
-                ce.not_full.notify_all()
-            self._wake(edge.consumer)
+            self._aborted = True
+            for other in self.order:
+                self._wake(other)
 
     def run(self) -> RunReport:
+        self._wakeups = {op_id: threading.Condition() for op_id in self.order}
+        self._errors: list = []
+        self._aborted = False
         threads = [
             threading.Thread(target=self._run_op, args=(op_id,), name=op_id)
             for op_id in self.order
@@ -677,17 +629,4 @@ class ConcurrentEngine:
         if self._errors:
             op_id, exc = self._errors[0]
             raise RunError(f"operator {op_id!r} failed: {exc}") from exc
-        outputs = {}
-        divergence = {}
-        for op_id, op in self.ops.items():
-            if hasattr(op, "collected"):
-                outputs[op_id] = [i for i in op.collected if not is_punct(i)]
-            if getattr(op, "divergence_series", None):
-                divergence[op_id] = list(op.divergence_series)
-        return RunReport(
-            outputs=outputs,
-            counters={op_id: op.counters for op_id, op in self.ops.items()},
-            feedback_log=self.feedback_log,
-            divergence=divergence,
-            page_log=None,
-        )
+        return self._report()

@@ -1,4 +1,7 @@
-"""Plan-file parsing and the command-line entry points."""
+"""Plan-file parsing, its documentation, and the command-line entry points."""
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -47,6 +50,22 @@ def test_parse_rejects_unknown_schema():
 def test_parse_rejects_bad_line():
     with pytest.raises(PlanError, match="line 1"):
         parse_plan("frobnicate src")
+
+
+def test_kind_table_matches_the_registry():
+    # each row of the kind table in docs/plan-format.md: `kind` [/ `kind`...]
+    # | `param...` ...; a parameter is the name that starts a backquoted span
+    doc = Path(__file__).resolve().parent.parent / "docs" / "plan-format.md"
+    table = {}
+    for line in doc.read_text().splitlines():
+        cells = re.split(r"(?<!\\)\|", line)
+        if len(cells) != 4 or not cells[1].strip().startswith("`"):
+            continue
+        params = {re.match(r"\w+", span).group() for span in re.findall(r"`([^`]+)`", cells[2])}
+        for kind in re.findall(r"`(\w+)`", cells[1]):
+            assert kind not in table, f"{kind} has two rows"
+            table[kind] = params
+    assert table == {kind: set(k.params) for kind, k in REGISTRY.items()}
 
 
 def test_join_key_pairs():

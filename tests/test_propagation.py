@@ -122,6 +122,7 @@ def test_window_rewrite_is_exact(r):
         C.ge(13),
         C.interval(5, 3 * r),
         C.interval(r + 1, r + 3),  # straddles no window start
+        C.eq(None),  # no window start is null
     ]
     for c in cases:
         rc = rewrite_window_constraint(c, r)

@@ -1,4 +1,9 @@
-"""Engine behavior: paging, backpressure, determinism, control channel."""
+"""Engine behavior: paging, backpressure, determinism, control channel,
+plan-build errors and failing operators."""
+
+import sys
+import threading
+import time
 
 import pytest
 
@@ -79,7 +84,7 @@ def test_double_run_is_byte_identical():
         plan.add("sel", "select", inputs=["src"], predicate="datavalue < 7")
         plan.add("agg", "count", inputs=["sel"], range_seconds=60)
         plan.add("out", "sink", inputs=["agg"])
-        return DeterministicEngine(plan, REGISTRY, page_size=32, seed=7)
+        return DeterministicEngine(plan, REGISTRY, page_size=32)
 
     assert make().run().to_bytes() == make().run().to_bytes()
 
@@ -134,11 +139,23 @@ def test_unconnected_output_rejected():
         DeterministicEngine(plan, REGISTRY)
 
 
-def test_unknown_kind_rejected():
-    plan = Plan()
-    plan.add("src", "mystery", schema=SCHEMA)
-    with pytest.raises(PlanError):
+@pytest.mark.parametrize(
+    "node, kind, params, named",
+    [
+        ("sel", "select", {"predicat": "true"}, "'predicat'"),
+        ("src", "source", {"punct_interval": "abc"}, "'punct_interval'"),
+        ("src", "source", {"punct_interval": 0}, "punct_interval"),
+        ("sel", "mystery", {}, "'mystery'"),
+    ],
+    ids=["unknown-parameter", "wrong-type", "bad-value", "unknown-kind"],
+)
+def test_plan_build_error_names_the_node(node, kind, params, named):
+    plan = linear_plan(10)
+    plan.nodes[node].kind = kind
+    plan.nodes[node].params.update(params)
+    with pytest.raises(PlanError) as exc:
         DeterministicEngine(plan, REGISTRY)
+    assert f"{node!r}" in str(exc.value) and named in str(exc.value)
 
 
 def test_cycle_rejected():
@@ -162,6 +179,30 @@ def test_concurrent_engine_same_rows():
     assert report.outputs["out"] == expected
 
 
+def test_concurrent_engine_stress_delivers_everything():
+    # more threads than cores, one-page queues and a short switch interval:
+    # a lost wakeup hangs the run, a lost update loses or reorders rows
+    plan = Plan()
+    plan.add("src", "source", schema=SCHEMA, rows=rows(5000), punct_interval=7)
+    prev = "src"
+    for i in range(6):
+        plan.add(f"s{i}", "select", inputs=[prev], predicate="datavalue >= 0")
+        prev = f"s{i}"
+    plan.add("out", "sink", inputs=[prev])
+    eng = ConcurrentEngine(plan, REGISTRY, page_size=4, queue_pages=1)
+    reports = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        thread = threading.Thread(target=lambda: reports.append(eng.run()), daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive(), "run() still running"
+    assert reports[0].outputs["out"] == rows(5000)
+
+
 def test_concurrent_engine_feedback():
     plan = linear_plan(800, punct_interval=50)
     plan.nodes["out"].params["injections"] = (
@@ -175,3 +216,42 @@ def test_concurrent_engine_feedback():
     full = rows(800)
     dropped = [r for r in full if r not in kept]
     assert all(r[1] == 4 for r in dropped)
+
+
+@pytest.mark.parametrize("failing", ["sel", "out"])
+@pytest.mark.parametrize("engine_cls", [DeterministicEngine, ConcurrentEngine])
+def test_failing_operator_ends_the_run(engine_cls, failing):
+    # enough rows that every queue upstream of the failure fills up
+    eng = engine_cls(linear_plan(200_000), REGISTRY, page_size=10, queue_pages=2)
+    op = eng.ops[failing]
+    process_item = op.process_item
+
+    def fail_at_row_1000(input_index, item):
+        if not is_punct(item) and item[0] == 1000:
+            # on the concurrent engine, fail once the producer has filled
+            # the queue into this operator, so that it must wait for room
+            edge = eng.in_edges[failing][0]
+            deadline = time.monotonic() + 5
+            while (
+                engine_cls is ConcurrentEngine
+                and len(edge.pages) < edge.capacity_pages
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.001)
+            raise ValueError("boom")
+        process_item(input_index, item)
+
+    op.process_item = fail_at_row_1000
+    raised = []
+
+    def run():
+        try:
+            eng.run()
+        except RunError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=9)
+    assert not thread.is_alive(), "run() still running"
+    assert [str(e) for e in raised] == [f"operator {failing!r} failed: boom"]
