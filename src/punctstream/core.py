@@ -80,11 +80,23 @@ class Schema:
     def attr_types(self) -> tuple:
         return tuple(t for _, t in self.attributes)
 
+    @cached_property
+    def orderable(self) -> tuple:
+        return tuple(t.orderable for t in self.attr_types)
+
+    @cached_property
+    def discrete(self) -> tuple:
+        return tuple(t.discrete for t in self.attr_types)
+
+    @cached_property
+    def _positions(self) -> dict:
+        return {n: i for i, n in enumerate(self.attr_names)}
+
     def index_of(self, attr_name: str) -> int:
-        for i, (n, _) in enumerate(self.attributes):
-            if n == attr_name:
-                return i
-        raise KeyError(f"no attribute {attr_name!r} in schema {self.name!r}")
+        try:
+            return self._positions[attr_name]
+        except KeyError:
+            raise KeyError(f"no attribute {attr_name!r} in schema {self.name!r}") from None
 
     def check_row(self, row: Row) -> None:
         if len(row) != len(self.attributes):
@@ -106,6 +118,14 @@ class Op(enum.Enum):
     GT = ">"
     GE = ">="
     RANGE = "range"
+
+
+# members as module globals: the pattern algebra tests ops on every call,
+# and reading a member from its enum class costs far more than a global
+_ANY, _EQ, _LT, _LE, _GT, _GE, _RANGE = (
+    Op.ANY, Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE, Op.RANGE
+)
+_COMPARISONS = (_LT, _LE, _GT, _GE, _RANGE)
 
 
 @dataclass(frozen=True)
@@ -158,19 +178,19 @@ class Constraint:
     # -- evaluation ---------------------------------------------------
     def matches_value(self, v) -> bool:
         op = self.op
-        if op is Op.ANY:
+        if op is _ANY:
             return True
         if v is None:  # null satisfies only the wildcard
             return False
-        if op is Op.EQ:
+        if op is _EQ:
             return v == self.value
-        if op is Op.LT:
+        if op is _LT:
             return v < self.value
-        if op is Op.LE:
+        if op is _LE:
             return v <= self.value
-        if op is Op.GT:
+        if op is _GT:
             return v > self.value
-        if op is Op.GE:
+        if op is _GE:
             return v >= self.value
         lo_ok = v > self.lo or (self.lo_incl and v == self.lo)
         hi_ok = v < self.hi or (self.hi_incl and v == self.hi)
@@ -206,7 +226,7 @@ class Constraint:
 
     @property
     def is_wildcard(self) -> bool:
-        return self.op is Op.ANY
+        return self.op is _ANY
 
     # -- text form ----------------------------------------------------
     def format(self) -> str:
@@ -240,19 +260,19 @@ def _fmt_value(v) -> str:
 
 def _bounds(c: Constraint, discrete: bool):
     op = c.op
-    if op is Op.ANY:
+    if op is _ANY:
         return (None, False, None, False)
-    if op is Op.EQ:
+    if op is _EQ:
         if c.value is None:  # '=null' admits no value: an empty interval
             return (1, False, 0, False)
         return (c.value, False, c.value, False)
-    if op is Op.LT:
+    if op is _LT:
         lo, los, hi, his = None, False, c.value, True
-    elif op is Op.LE:
+    elif op is _LE:
         lo, los, hi, his = None, False, c.value, False
-    elif op is Op.GT:
+    elif op is _GT:
         lo, los, hi, his = c.value, True, None, False
-    elif op is Op.GE:
+    elif op is _GE:
         lo, los, hi, his = c.value, False, None, False
     else:
         lo, los, hi, his = c.lo, not c.lo_incl, c.hi, not c.hi_incl
@@ -333,13 +353,15 @@ class Pattern:
     constraints: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        if len(self.constraints) != len(self.schema):
-            raise ValueError(
-                f"pattern arity {len(self.constraints)} != schema arity {len(self.schema)}"
-            )
-        for c, (name, t) in zip(self.constraints, self.schema.attributes):
-            if c.op in (Op.LT, Op.LE, Op.GT, Op.GE, Op.RANGE) and not t.orderable:
+        cs = self.constraints
+        if type(cs) is not tuple:
+            cs = tuple(cs)
+            object.__setattr__(self, "constraints", cs)
+        schema = self.schema
+        if len(cs) != len(schema):
+            raise ValueError(f"pattern arity {len(cs)} != schema arity {len(schema)}")
+        for c, orderable, name in zip(cs, schema.orderable, schema.attr_names):
+            if not orderable and c.op in _COMPARISONS:
                 raise ValueError(f"comparison constraint on non-orderable attribute {name!r}")
 
     @staticmethod
@@ -354,16 +376,12 @@ class Pattern:
             cs[schema.index_of(name)] = c
         return Pattern(schema, tuple(cs))
 
-    @property
-    def is_all_wildcard(self) -> bool:
-        return all(c.is_wildcard for c in self.constraints)
-
     def constrained_indices(self) -> tuple:
         return tuple(i for i, c in enumerate(self.constraints) if not c.is_wildcard)
 
     def matches(self, row: Row) -> bool:
         for c, v in zip(self.constraints, row):
-            if c.op is Op.ANY:
+            if c.op is _ANY:
                 continue
             if not c.matches_value(v):
                 return False
@@ -428,11 +446,12 @@ def matches(row: Row, pattern: Pattern, schema: Optional[Schema] = None) -> bool
 def is_empty(q: Pattern) -> bool:
     """True iff some orderable attribute's constraint admits no value, so
     that no row matches q."""
-    for qc, t in zip(q.constraints, q.schema.attr_types):
+    schema = q.schema
+    for qc, orderable, discrete in zip(q.constraints, schema.orderable, schema.discrete):
         if (
-            qc.op is not Op.ANY
-            and t.orderable
-            and _bounds_empty(_bounds(qc, t.discrete), t.discrete)
+            qc.op is not _ANY
+            and orderable
+            and _bounds_empty(_bounds(qc, discrete), discrete)
         ):
             return True
     return False
@@ -441,20 +460,22 @@ def is_empty(q: Pattern) -> bool:
 def subsumes(p: Pattern, q: Pattern) -> bool:
     """True iff every row matching q also matches p, decided attribute-wise."""
     _require_same_schema(p, q)
-    types = p.schema.attr_types
+    schema = p.schema
     # an unsatisfiable q is subsumed by anything
     if is_empty(q):
         return True
-    for pc, qc, t in zip(p.constraints, q.constraints, types):
-        if pc.is_wildcard:
+    for pc, qc, orderable, discrete in zip(
+        p.constraints, q.constraints, schema.orderable, schema.discrete
+    ):
+        if pc.op is _ANY:
             continue
-        if qc.is_wildcard:
+        if qc.op is _ANY:
             return False  # q admits nulls (and unbounded values), p does not
-        if not t.orderable:
-            if not (pc.op is Op.EQ and qc.op is Op.EQ and pc.value == qc.value):
+        if not orderable:
+            if not (pc.op is _EQ and qc.op is _EQ and pc.value == qc.value):
                 return False
             continue
-        if not _bounds_subsume(_bounds(pc, t.discrete), _bounds(qc, t.discrete)):
+        if not _bounds_subsume(_bounds(pc, discrete), _bounds(qc, discrete)):
             return False
     return True
 
@@ -462,23 +483,26 @@ def subsumes(p: Pattern, q: Pattern) -> bool:
 def conjoin(p: Pattern, q: Pattern) -> Optional[Pattern]:
     """Attribute-wise intersection; None when some attribute is unsatisfiable."""
     _require_same_schema(p, q)
+    schema = p.schema
     out = []
-    for pc, qc, t in zip(p.constraints, q.constraints, p.schema.attr_types):
-        if qc.is_wildcard:
+    for pc, qc, orderable, discrete in zip(
+        p.constraints, q.constraints, schema.orderable, schema.discrete
+    ):
+        if qc.op is _ANY:
             out.append(pc)
             continue
-        if pc.is_wildcard:
+        if pc.op is _ANY:
             out.append(qc)
             continue
-        if not t.orderable:
-            if pc.op is Op.EQ and qc.op is Op.EQ and pc.value == qc.value:
+        if not orderable:
+            if pc.op is _EQ and qc.op is _EQ and pc.value == qc.value:
                 out.append(pc)
                 continue
             return None
-        b = _bounds_intersect(_bounds(pc, t.discrete), _bounds(qc, t.discrete))
-        if _bounds_empty(b, t.discrete):
+        b = _bounds_intersect(_bounds(pc, discrete), _bounds(qc, discrete))
+        if _bounds_empty(b, discrete):
             return None
-        out.append(_constraint_from_bounds(b, t.discrete))
+        out.append(_constraint_from_bounds(b, discrete))
     return Pattern(p.schema, tuple(out))
 
 

@@ -5,13 +5,28 @@ carrying a fixed set of speed detectors that report once per resolution
 interval.  Rows are ordered by timestamp, detectors interleaved within
 each tick, so the stream is in timestamp order and can be punctuated by
 the source.
+
+The generators draw from one seeded ``random.Random`` in a fixed order, so
+a seed always gives the same rows.  Speeds are rounded to cents (tenths in
+the workload generator) by table lookup: ``round_cents(x)`` takes
+n = ``round(100 * x)`` and returns the table's ``n / 100.0``, which is
+exactly ``round(x, 2)``.  For 0 <= x < 100 the computed ``100 * x`` lies
+within 1e-12 of the exact product, so away from a half cent n is the
+correctly rounded integer that ``round`` finds from the exact value, and
+``n / 100.0`` is the double nearest to n/100, which is what ``round``
+returns through its correctly rounded decimal string.  Within 1e-7 of a
+half cent, at zero (where ``round`` keeps the sign of a negative x) and
+outside the table, ``round`` itself is called.  Rows share their speed
+floats with the table and their detector and segment ints with each
+other, which keeps a large stream's memory down.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from itertools import chain, cycle, islice, repeat
+from typing import Callable, Iterator, List, Optional
 
 from punctstream.core import AttrType, Constraint, Pattern, Schema, assumed
 
@@ -38,6 +53,28 @@ READING_SCHEMA = Schema(
 )
 
 
+def _table_round(digits: int) -> Callable[[float], float]:
+    """``round(x, digits)``, by table lookup for 0 < x < 100 (see the
+    module docstring)."""
+    scale = 10.0 ** digits
+    table = [n / scale for n in range(100 * 10 ** digits)]
+    size = len(table)
+    near_half = 0.5 - 1e-7
+
+    def rounded(x: float) -> float:
+        y = x * scale
+        n = round(y)
+        if 0 < n < size and -near_half < y - n < near_half:
+            return table[n]
+        return round(x, digits)
+
+    return rounded
+
+
+round_cents = _table_round(2)
+round_tenths = _table_round(1)
+
+
 @dataclass(frozen=True)
 class SensorStreamConfig:
     duration_seconds: int
@@ -47,30 +84,33 @@ class SensorStreamConfig:
     null_fraction: float = 0.0
     seed: int = 0
 
-    @property
-    def total_rows(self) -> int:
-        ticks = self.duration_seconds // self.resolution_seconds
-        return ticks * self.segments * self.detectors_per_segment
-
 
 def sensor_rows(config: SensorStreamConfig) -> Iterator[tuple]:
     """Rows (det, seg, ts, speed) in timestamp order; speed is a smooth
     per-segment baseline plus noise, or null at ``null_fraction``."""
+    return chain.from_iterable(_sensor_ticks(config))
+
+
+def _sensor_ticks(config: SensorStreamConfig) -> Iterator[Iterator[tuple]]:
+    """The rows of ``sensor_rows``, an iterator per tick."""
     rng = random.Random(config.seed)
-    n_det = config.segments * config.detectors_per_segment
-    base = [45.0 + 20.0 * rng.random() for _ in range(config.segments)]
+    rand = rng.random
+    null_fraction = config.null_fraction
+    dets = list(range(config.segments * config.detectors_per_segment))
+    segs = [det // config.detectors_per_segment for det in dets]
+    base = [45.0 + 20.0 * rand() for _ in range(config.segments)]
     for tick in range(config.duration_seconds // config.resolution_seconds):
-        ts = tick * config.resolution_seconds
-        for det in range(n_det):
-            seg = det // config.detectors_per_segment
-            if config.null_fraction and rng.random() < config.null_fraction:
-                speed = None
-            else:
-                speed = round(base[seg] + rng.uniform(-5.0, 5.0), 2)
-            yield (det, seg, ts, speed)
+        # one tick at a time, drawing in detector order; the noise is
+        # rng.uniform(-5.0, 5.0) written out as CPython computes it
+        speeds = [
+            None if null_fraction and rand() < null_fraction
+            else round_cents(base[seg] + (-5.0 + 10.0 * rand()))
+            for seg in segs
+        ]
+        yield zip(dets, segs, repeat(tick * config.resolution_seconds), speeds)
         # bounded per-segment drift keeps the baselines non-constant
         for seg in range(config.segments):
-            base[seg] = min(75.0, max(20.0, base[seg] + rng.uniform(-0.5, 0.5)))
+            base[seg] = min(75.0, max(20.0, base[seg] + (-0.5 + 1.0 * rand())))
 
 
 @dataclass(frozen=True)
@@ -85,15 +125,14 @@ def reading_rows(config: ReadingStreamConfig) -> List[tuple]:
     """Rows (det, ts, speed), one per second, with ``null_fraction`` of the
     readings missing — the imputation pipeline's input."""
     rng = random.Random(config.seed)
-    rows = []
-    for ts in range(config.n_rows):
-        det = ts % config.detectors
-        if rng.random() < config.null_fraction:
-            speed = None
-        else:
-            speed = round(40.0 + 30.0 * rng.random(), 2)
-        rows.append((det, ts, speed))
-    return rows
+    rand = rng.random
+    null_fraction = config.null_fraction
+    speeds = [
+        None if rand() < null_fraction else round_cents(40.0 + 30.0 * rand())
+        for _ in range(config.n_rows)
+    ]
+    dets = islice(cycle(range(config.detectors)), config.n_rows)
+    return list(zip(dets, range(config.n_rows), speeds))
 
 
 # ---------------------------------------------------------------------------

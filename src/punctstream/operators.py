@@ -29,8 +29,9 @@ from punctstream.core import (
     Pattern,
     Schema,
     assumed,
-    is_punct,
     parse_value,
+    _ANY,
+    _EQ,
     _bounds,
 )
 from punctstream.propagation import (
@@ -57,7 +58,7 @@ class _Guard:
         # (attribute index, value) of every equality constraint; the first
         # one is the guard's bucket in the equality index
         self.eqs = tuple(
-            (i, c.value) for i, c in enumerate(pattern.constraints) if c.op is Op.EQ
+            (i, c.value) for i, c in enumerate(pattern.constraints) if c.op is _EQ
         )
         # inclusive upper bound on the progress attribute, None if unbounded
         c = pattern.constraints[pattern.schema.timestamp_attr]
@@ -71,7 +72,7 @@ class _Guard:
         cs = other.pattern.constraints
         for i, x in self.eqs:
             c = cs[i]
-            if c.op is Op.ANY or (c.op is Op.EQ and c.value != x):
+            if c.op is _ANY or (c.op is _EQ and c.value != x):
                 return False
         return True
 
@@ -184,16 +185,27 @@ class GuardSet:
 def _punct_ts_bound(pattern: Pattern, ts_idx: int) -> Optional[int]:
     """Inclusive upper bound a punctuation places on the timestamp
     attribute, or None when it is not a pure progress punctuation."""
-    for i, c in enumerate(pattern.constraints):
-        if i != ts_idx and not c.is_wildcard:
-            return None
-    c = pattern.constraints[ts_idx]
-    if c.is_wildcard:
+    cs = pattern.constraints
+    c = cs[ts_idx]
+    if c.op is _ANY:
         return None
+    for i, other in enumerate(cs):
+        if other.op is not _ANY and i != ts_idx:
+            return None
     lo, _, hi, _ = _bounds(c, True)
     if lo is not None or hi is None:
         return None
     return hi
+
+
+def _picker(indices: tuple) -> Callable:
+    """Function from a row to the tuple of its values at ``indices``."""
+    if not indices:
+        return lambda row: ()
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda row: (row[i],)
+    return pyop.itemgetter(*indices)
 
 
 # ---------------------------------------------------------------------------
@@ -223,32 +235,34 @@ def compile_predicate(expr, schema: Schema) -> Callable:
     text = expr.strip()
     if text in ("", "true"):
         return lambda row: True
-    checks = []
-    for clause in text.split(" and "):
-        m = _CLAUSE_RE.match(clause)
-        if not m:
-            raise ValueError(f"cannot parse predicate clause {clause!r}")
-        attr, op, lit = m.groups()
-        idx = schema.index_of(attr)
-        if lit == "null":
-            if op in ("=", "=="):
-                checks.append((idx, lambda v: v is None))
-            elif op == "!=":
-                checks.append((idx, lambda v: v is not None))
-            else:
-                raise ValueError(f"null only supports ==/!=: {clause!r}")
-            continue
-        val = parse_value(lit, schema.attr_types[idx])
-        fn = _OPS[op]
-        checks.append((idx, lambda v, fn=fn, val=val: v is not None and fn(v, val)))
+    checks = [_compile_clause(clause, schema) for clause in text.split(" and ")]
+    if len(checks) == 1:
+        return checks[0]
 
     def pred(row):
-        for idx, check in checks:
-            if not check(row[idx]):
+        for check in checks:
+            if not check(row):
                 return False
         return True
 
     return pred
+
+
+def _compile_clause(clause: str, schema: Schema) -> Callable:
+    m = _CLAUSE_RE.match(clause)
+    if not m:
+        raise ValueError(f"cannot parse predicate clause {clause!r}")
+    attr, op, lit = m.groups()
+    i = schema.index_of(attr)
+    if lit == "null":
+        if op in ("=", "=="):
+            return lambda row: row[i] is None
+        if op == "!=":
+            return lambda row: row[i] is not None
+        raise ValueError(f"null only supports ==/!=: {clause!r}")
+    val = parse_value(lit, schema.attr_types[i])
+    fn = _OPS[op]
+    return lambda row: (v := row[i]) is not None and fn(v, val)
 
 
 # ---------------------------------------------------------------------------
@@ -294,28 +308,37 @@ class Source(SourceOperator):
         )
 
     def generate(self, budget: float) -> None:
+        emit = self.emit
+        counters = self.counters
+        ts_idx = self._ts_idx
+        interval = self.punct_interval
+        boundary = self._next_boundary
+        max_ts = self._max_ts
         emitted = 0
-        while emitted < budget:
-            try:
-                item = next(self._iter)
-            except StopIteration:
-                if self.final_punct and self._max_ts is not None:
-                    self.emit(self._punct(self._max_ts))
-                self.exhausted = True
-                return
-            if is_punct(item):
-                self.emit(item)
-                continue
-            ts = item[self._ts_idx]
-            if ts is not None:
-                if self.punct_interval is not None:
-                    while self._next_boundary is not None and ts >= self._next_boundary:
-                        self.emit(self._punct(self._next_boundary - 1))
-                        self._next_boundary += self.punct_interval
-                self._max_ts = ts if self._max_ts is None else max(self._max_ts, ts)
-            self.charge(1.0)
-            self.emit(item)
-            emitted += 1
+        try:
+            for item in self._iter:
+                if type(item) is EmbeddedPunctuation:
+                    emit(item)
+                    continue
+                ts = item[ts_idx]
+                if ts is not None:
+                    if boundary is not None:
+                        while ts >= boundary:
+                            emit(self._punct(boundary - 1))
+                            boundary += interval
+                    if max_ts is None or ts > max_ts:
+                        max_ts = ts
+                counters.work_units += 1.0
+                emit(item)
+                emitted += 1
+                if emitted >= budget:
+                    return
+            if self.final_punct and max_ts is not None:
+                emit(self._punct(max_ts))
+            self.exhausted = True
+        finally:
+            self._next_boundary = boundary
+            self._max_ts = max_ts
 
 
 def read_stream_file(path: str):
@@ -425,16 +448,17 @@ class Select(Operator):
         return len(self.guards)
 
     def process_item(self, input_index, item):
-        if is_punct(item):
+        if type(item) is EmbeddedPunctuation:
             self.guards.expire(item.pattern)
             self.emit(item)
             return
+        counters = self.counters
         if self.guards:
-            self.counters.work_units += self.guard_check_cost
+            counters.work_units += self.guard_check_cost
             if self.guards.drop(item):
-                self.counters.guard_drops += 1
+                counters.guard_drops += 1
                 return
-        self.counters.work_units += self.eval_cost
+        counters.work_units += self.eval_cost
         if self.pred(item):
             self.emit(item)
 
@@ -455,7 +479,7 @@ class Select(Operator):
 
 
 def _any_null(row) -> bool:
-    return any(v is None for v in row)
+    return None in row
 
 
 class Split(Operator):
@@ -477,7 +501,7 @@ class Split(Operator):
         return sum(len(g) for g in self.port_guards)
 
     def process_item(self, input_index, item):
-        if is_punct(item):
+        if type(item) is EmbeddedPunctuation:
             for g in self.port_guards:
                 g.expire(item.pattern)
             self.emit(item, port=0)
@@ -539,7 +563,7 @@ class Impute(Operator):
         return len(self.guards)
 
     def process_item(self, input_index, item):
-        if is_punct(item):
+        if type(item) is EmbeddedPunctuation:
             self.guards.expire(item.pattern)
             self.emit(item)
             return
@@ -633,7 +657,7 @@ class Pace(Operator):
         )
 
     def process_item(self, input_index, item):
-        if is_punct(item):
+        if type(item) is EmbeddedPunctuation:
             b = _punct_ts_bound(item.pattern, self._ts)
             if b is not None:
                 prev = self._punct_bound[input_index]
@@ -693,7 +717,35 @@ class Union(Pace):
 # Window aggregates
 # ---------------------------------------------------------------------------
 
-_AGG_KINDS = ("count", "sum", "average", "max")
+def _count_update(partial, v):
+    return (partial or 0) + 1
+
+
+def _sum_update(partial, v):
+    return partial if v is None else (partial or 0.0) + v
+
+
+def _average_update(partial, v):
+    if v is None:
+        return partial
+    s, n = partial or (0.0, 0)
+    return (s + v, n + 1)
+
+
+def _max_update(partial, v):
+    if v is None:
+        return partial
+    return v if partial is None else max(partial, v)
+
+
+# aggregate kind -> update of a partial with one value (None when null)
+_UPDATES = {
+    "count": _count_update,
+    "sum": _sum_update,
+    "average": _average_update,
+    "max": _max_update,
+}
+_AGG_KINDS = tuple(_UPDATES)
 
 
 class WindowAggregate(Operator):
@@ -729,9 +781,11 @@ class WindowAggregate(Operator):
         if kind != "count" and value is None:
             raise ValueError(f"{kind} aggregate needs a value attribute")
         self.kind = kind
+        self._update = _UPDATES[kind]
         self.range = range_seconds
         self._ts = input_schema.timestamp_attr
         self.group_idx = tuple(input_schema.index_of(g) for g in group_by)
+        self._group_of = _picker(self.group_idx)
         self.value_idx = input_schema.index_of(value) if value is not None else None
         agg_name = {"count": "count", "sum": f"sum_{value}", "average": f"avg_{value}", "max": f"max_{value}"}[kind]
         agg_type = AttrType.INT if kind == "count" else AttrType.FLOAT
@@ -773,19 +827,6 @@ class WindowAggregate(Operator):
         are not delimited and persist)."""
         return len(self.input_guards) + len(self.suppressed)
 
-    def _update(self, partial, v):
-        k = self.kind
-        if k == "count":
-            return (partial or 0) + 1
-        if v is None:
-            return partial
-        if k == "sum":
-            return (partial or 0.0) + v
-        if k == "max":
-            return v if partial is None else max(partial, v)
-        s, n = partial or (0.0, 0)
-        return (s + v, n + 1)
-
     def _result(self, partial):
         if partial is None:  # only null values arrived: nothing to report
             return None
@@ -795,29 +836,31 @@ class WindowAggregate(Operator):
         return partial
 
     def process_item(self, input_index, item):
-        if is_punct(item):
+        if type(item) is EmbeddedPunctuation:
             self.input_guards.expire(item.pattern)
             bound = _punct_ts_bound(item.pattern, self._ts)
             if bound is not None:
                 self._close_windows(bound)
             return
+        counters = self.counters
         if self.input_guards:
-            self.counters.work_units += self.guard_check_cost
+            counters.work_units += self.guard_check_cost
             if self.input_guards.drop(item):
-                self.counters.guard_drops += 1
+                counters.guard_drops += 1
                 return
-        if item[self._ts] is None:
+        ts = item[self._ts]
+        if ts is None:
             return  # unassignable to a window
-        key = ((item[self._ts] // self.range) * self.range,
-               tuple(item[i] for i in self.group_idx))
+        key = ((ts // self.range) * self.range, self._group_of(item))
         if key in self.suppressed:
-            self.counters.guard_drops += 1
+            counters.guard_drops += 1
             return
-        self.counters.work_units += self.update_cost
+        counters.work_units += self.update_cost
         v = item[self.value_idx] if self.value_idx is not None else None
-        partial = self._update(self.state.get(key), v)
-        self.state[key] = partial
-        if self.kind == "max" and self._value_feedback:
+        state = self.state
+        partial = state[key] = self._update(state.get(key), v)
+        # only a max aggregate has value feedback
+        if self._value_feedback:
             cur = self._result(partial)
             if cur is not None and any(test(cur) for test in self._value_feedback):
                 self._suppress_key(key, propagate=self.feedback_mode == "exploit_propagate")
@@ -966,6 +1009,7 @@ class Join(Operator):
             raise ValueError("join needs at least one key pair")
         self.left_keys = tuple(left.index_of(l) for l, _ in on)
         self.right_keys = tuple(right.index_of(r) for _, r in on)
+        self._keys_of = (_picker(self.left_keys), _picker(self.right_keys))
         for li, ri in zip(self.left_keys, self.right_keys):
             if left.attr_types[li] != right.attr_types[ri]:
                 raise ValueError("join attribute types differ")
@@ -973,7 +1017,7 @@ class Join(Operator):
         right_extra = tuple(
             i for i in range(len(right)) if i not in self.right_keys
         )
-        self._right_extra = right_extra
+        self._right_extra_of = _picker(right_extra)
         out_attrs = tuple(left.attributes) + tuple(right.attributes[i] for i in right_extra)
         out_schema = Schema(
             name or f"{left.name}_{right.name}", out_attrs, left.timestamp_attr
@@ -1008,8 +1052,7 @@ class Join(Operator):
         return sum(len(g) for g in self.input_guards) + len(self.output_guards)
 
     def _key(self, input_index, row):
-        keys = self.left_keys if input_index == 0 else self.right_keys
-        k = tuple(row[i] for i in keys)
+        k = self._keys_of[input_index](row)
         if self.window is not None:
             ts = row[self._ts[input_index]]
             if ts is None:
@@ -1017,11 +1060,8 @@ class Join(Operator):
             return ((ts // self.window) * self.window,) + k
         return k
 
-    def _out_row(self, left_row, right_row):
-        return tuple(left_row) + tuple(right_row[i] for i in self._right_extra)
-
     def process_item(self, input_index, item):
-        if is_punct(item):
+        if type(item) is EmbeddedPunctuation:
             self.input_guards[input_index].expire(item.pattern)
             b = _punct_ts_bound(item.pattern, self._ts[input_index])
             if b is not None:
@@ -1035,18 +1075,22 @@ class Join(Operator):
         key = self._key(input_index, item)
         if key is None:
             return
-        other = self.tables[1 - input_index]
-        for match in other.get(key, ()):
-            out = (
-                self._out_row(item, match)
-                if input_index == 0
-                else self._out_row(match, item)
-            )
-            if self.output_guards and self.output_guards.drop(out):
-                self.counters.guard_drops += 1
-                continue
-            self.counters.work_units += 1.0
-            self.emit(out)
+        matches = self.tables[1 - input_index].get(key)
+        if matches:
+            # an output row is the left row, then the right row's non-key values
+            if input_index == 0:
+                left, right_extra_of = tuple(item), self._right_extra_of
+                outs = [left + right_extra_of(m) for m in matches]
+            else:
+                right_extra = self._right_extra_of(item)
+                outs = [tuple(m) + right_extra for m in matches]
+            guards, counters, emit = self.output_guards, self.counters, self.emit
+            for out in outs:
+                if guards and guards.drop(out):
+                    counters.guard_drops += 1
+                    continue
+                counters.work_units += 1.0
+                emit(out)
         self.tables[input_index].setdefault(key, []).append(item)
 
     def _advance_bound(self, input_index, bound):
@@ -1135,19 +1179,21 @@ class Sink(Operator):
 
     def process_item(self, input_index, item):
         self.collected.append(item)
-        if is_punct(item):
+        if type(item) is EmbeddedPunctuation:
             b = _punct_ts_bound(item.pattern, self._ts)
-            if b is not None:
+            if b is not None and (self._observed is None or b > self._observed):
                 self._observe(b)
             return
         ts = item[self._ts]
         if ts is not None:
-            self._max_ts = ts if self._max_ts is None else max(self._max_ts, ts)
+            if self._max_ts is None or ts > self._max_ts:
+                self._max_ts = ts
             if self.record_divergence:
                 self.divergence_series.append(
                     (self.counters.tuples_in, self._max_ts - ts)
                 )
-            self._observe(ts)
+            if self._observed is None or ts > self._observed:
+                self._observe(ts)
         while (
             self._injected < len(self.injections)
             and self.counters.tuples_in >= self.injections[self._injected][0]
@@ -1158,8 +1204,7 @@ class Sink(Operator):
             self.send_feedback(0, fb)
 
     def _observe(self, t: int) -> None:
-        if self._observed is not None and t <= self._observed:
-            return
+        """Stream time has advanced to ``t``."""
         self._observed = t
         if self.time_injector is not None:
             for fb in self.time_injector(t):

@@ -6,25 +6,34 @@ queue per edge.  Feedback punctuation travels the other way, on each
 edge's upstream control channel, and is delivered before pending data.
 The engine core wires a plan, pages operator output onto the edges,
 carries feedback, and tracks input ends; the two schedulers differ only in
-how they run the operators.  The deterministic scheduler runs everything
-on one thread, visiting operators in topological order round-robin: each
-turn drains pending feedback first, then consumes data items until a
-work-unit quantum is spent, so equal plans and settings replay
-bit-identically.  The concurrent scheduler runs one thread per operator
-with blocking bounded queues; correctness must not depend on delivery
-timing.
+how they run the operators.  Operators are linked to their engine only
+while ``run()`` runs: it binds each operator's context and its emitter
+when it starts and unlinks both when it ends, so an engine is never kept
+alive by a reference cycle through its operators.
+
+The deterministic scheduler runs everything on one thread, visiting
+operators in topological order round-robin.  Each turn drains pending
+feedback first and yields at once if an output queue is full; then it
+walks the operator's pages, taking inputs round-robin a page at a time,
+until the operator's work units have grown by the quantum or it has
+consumed the fewest items whose floor cost (``_MIN_ITEM_COST`` each)
+reaches the quantum.  A page left part-way is resumed on the next turn, so
+equal plans and settings replay bit-identically.  The concurrent
+scheduler runs one thread per operator with blocking bounded queues;
+correctness must not depend on delivery timing.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
-from punctstream.core import FeedbackPunctuation, is_punct
+from punctstream.core import EmbeddedPunctuation, FeedbackPunctuation, is_punct
 
 DEFAULT_PAGE_SIZE = 100
 DEFAULT_QUEUE_PAGES = 8
@@ -80,7 +89,7 @@ class Operator:
         self.output_schemas = tuple(output_schemas)
         self.counters = Counters()
         self.mapping = None  # AttributeMapping, set by subclasses that relay feedback
-        self._ctx = None
+        self._ctx = None  # the engine, while it runs this operator
 
     # -- engine-facing ------------------------------------------------
     def process_item(self, input_index: int, item) -> None:
@@ -97,13 +106,12 @@ class Operator:
 
     # -- helpers for subclasses ---------------------------------------
     def emit(self, item, port: int = 0) -> None:
-        self._ctx.emit(self, port, item)
+        """Queue ``item`` on output ``port``.  A running engine replaces
+        this per instance with an emitter bound to its output buffers."""
+        raise RunError(f"operator {self.id!r} emits outside a run")
 
     def send_feedback(self, input_index: int, fb: FeedbackPunctuation) -> None:
         self._ctx.send_feedback(self, input_index, fb)
-
-    def charge(self, units: float) -> None:
-        self.counters.work_units += units
 
 
 class SourceOperator(Operator):
@@ -149,9 +157,7 @@ class Plan:
         succs = {n: [] for n in self.nodes}
         for node in self.nodes.values():
             for ref in node.inputs:
-                src = ref.split(".", 1)[0]
-                if src not in self.nodes:
-                    raise PlanError(f"node {node.id!r} references unknown input {src!r}")
+                src = _parse_ref(ref, self.nodes, node.id)[0]
                 indeg[node.id] += 1
                 succs[src].append(node.id)
         order, ready = [], sorted(n for n, d in indeg.items() if d == 0)
@@ -168,11 +174,21 @@ class Plan:
         return order
 
 
-def _parse_ref(ref: str) -> Tuple[str, int]:
-    if "." in ref:
-        name, port = ref.rsplit(".", 1)
+def _parse_ref(ref: str, nodes, node_id: str) -> Tuple[str, int]:
+    """(producer node, output port) of input reference ``ref`` of node
+    ``node_id``: "node" or "node.port".  The whole reference is tried as a
+    node id first, so ids may contain dots."""
+    if ref in nodes:
+        return ref, 0
+    name, dot, port = ref.rpartition(".")
+    if not dot or name not in nodes:
+        raise PlanError(f"node {node_id!r} references unknown input {ref!r}")
+    try:
         return name, int(port)
-    return ref, 0
+    except ValueError:
+        raise PlanError(
+            f"node {node_id!r}: input {ref!r} has no output port {port!r}"
+        ) from None
 
 
 class Edge:
@@ -250,8 +266,9 @@ class RunReport:
 class _Engine:
     """Wires a plan into operators and edges, pages operator output onto the
     edges and carries feedback back up them.  A subclass supplies the
-    scheduler: ``run``, and how a page is handed over (``_put``) and an
-    operator woken (``_wake``)."""
+    scheduler: ``run``, which brackets its work with ``_link`` and
+    ``_unlink``, and how a page is handed over (``_put``) and an operator
+    woken (``_wake``)."""
 
     def __init__(
         self,
@@ -262,22 +279,27 @@ class _Engine:
         feedback_enabled: bool = True,
         transfer_cost: float = 0.0,
     ):
+        if not page_size >= 1:
+            raise PlanError(f"page_size must be at least 1, got {page_size!r}")
+        if not queue_pages >= 1:
+            raise PlanError(f"queue_pages must be at least 1, got {queue_pages!r}")
         self.page_size = page_size
         self.feedback_enabled = feedback_enabled
         self.transfer_cost = transfer_cost
         self.feedback_log: list = []
         self.page_log: Optional[list] = None
         self.order = plan.topo_order()
+        nodes = plan.nodes
         self.ops: Dict[str, Operator] = {}
         self.in_edges: Dict[str, list] = {}
         self.out_edges: Dict[str, dict] = {}
         # in topological order every producer exists before its consumers,
         # so each node is built from the schemas of the edges into it
         for node_id in self.order:
-            node = plan.nodes[node_id]
+            node = nodes[node_id]
             edges = []
             for idx, ref in enumerate(node.inputs):
-                src, port = _parse_ref(ref)
+                src, port = _parse_ref(ref, nodes, node_id)
                 producer = self.ops[src]
                 if not (0 <= port < producer.n_outputs):
                     raise PlanError(f"edge {src}.{port}->{node_id}: no such output port")
@@ -295,7 +317,6 @@ class _Engine:
                 op = kind(node_id, tuple(e.schema for e in edges), node.params)
             except (ValueError, KeyError, TypeError) as exc:
                 raise PlanError(f"node {node_id!r} ({node.kind}): {exc}") from exc
-            op._ctx = self
             self.ops[node_id] = op
             self.in_edges[node_id] = edges
             self.out_edges[node_id] = {}
@@ -309,17 +330,40 @@ class _Engine:
             for port in ports
         }
 
-    # -- context API ---------------------------------------------------
-    def emit(self, op: Operator, port: int, item) -> None:
-        if is_punct(item):
-            op.counters.puncts_out += 1
-        else:
-            op.counters.tuples_out += 1
-        buf = self._buffers[(op.id, port)]
-        buf.append(item)
-        if len(buf) >= self.page_size or is_punct(item):
-            self._flush(op, port)
+    # -- linking operators for a run -------------------------------------
+    def _link(self) -> None:
+        """Make every operator's context this engine and bind its emitter."""
+        for op in self.ops.values():
+            op._ctx = self
+            op.emit = self._emitter(op)
 
+    def _unlink(self) -> None:
+        for op in self.ops.values():
+            op._ctx = None
+            op.__dict__.pop("emit", None)
+
+    def _emitter(self, op: Operator):
+        """``op.emit`` for a run: appends to the ``(op.id, port)`` buffer,
+        counts the item, and flushes a full page or one that ends in a
+        punctuation through ``self._flush``."""
+        counters = op.counters
+        page_size = self.page_size
+        buffers = [self._buffers[(op.id, port)] for port in range(op.n_outputs)]
+
+        def emit(item, port: int = 0) -> None:
+            buf = buffers[port]
+            buf.append(item)
+            if type(item) is EmbeddedPunctuation:
+                counters.puncts_out += 1
+                self._flush(op, port)
+            else:
+                counters.tuples_out += 1
+                if len(buf) >= page_size:
+                    self._flush(op, port)
+
+        return emit
+
+    # -- context API ---------------------------------------------------
     def _flush(self, op: Operator, port: int) -> None:
         buf = self._buffers[(op.id, port)]
         if not buf:
@@ -386,7 +430,9 @@ class _Engine:
         divergence = {}
         for op_id, op in self.ops.items():
             if hasattr(op, "collected"):
-                outputs[op_id] = [i for i in op.collected if not is_punct(i)]
+                outputs[op_id] = [
+                    i for i in op.collected if type(i) is not EmbeddedPunctuation
+                ]
             if getattr(op, "divergence_series", None):
                 divergence[op_id] = list(op.divergence_series)
         return RunReport(
@@ -417,46 +463,27 @@ class DeterministicEngine(_Engine):
     ):
         super().__init__(plan, registry, page_size, queue_pages, feedback_enabled, transfer_cost)
         self.quantum = float(quantum if quantum is not None else page_size)
+        if not self.quantum > 0:
+            raise PlanError(f"quantum must be positive, got {quantum!r}")
+        self._max_items = _max_items(self.quantum)
         if trace_pages:
             self.page_log = []
 
     def run(self) -> RunReport:
-        cursors = {op_id: None for op_id in self.order}  # (edge, page, index)
-        rr_input = {op_id: 0 for op_id in self.order}
+        quantum, max_items = self.quantum, self._max_items
+        drain_control, end_inputs = self._drain_control, self._end_inputs
+        cursor = {}  # op id -> (iterator over the rest of a page, input index)
+        rr_input = dict.fromkeys(self.order, 0)
         ended_inputs = {op_id: set() for op_id in self.order}
         finished = set()
-        drain_control = self._drain_control
-
-        def next_item(op_id: str):
-            """Return (input_index, item) or None; round-robin across inputs
-            at page granularity."""
-            cur = cursors[op_id]
-            if cur is not None:
-                edge, page, idx = cur
-                item = page[idx]
-                if idx + 1 < len(page):
-                    cursors[op_id] = (edge, page, idx + 1)
-                else:
-                    cursors[op_id] = None
-                return edge.input_index, item
-            edges = self.in_edges[op_id]
-            n = len(edges)
-            start = rr_input[op_id]
-            for k in range(n):
-                edge = edges[(start + k) % n]
-                if edge.pages:
-                    rr_input[op_id] = ((start + k) % n + 1) % n
-                    page = edge.pages.popleft()
-                    cursors[op_id] = (edge, page, 0)
-                    return next_item(op_id)
-            return None
-
-        def finish_op(op: Operator) -> None:
-            self._finish(op)
-            finished.add(op.id)
-
         op_id = None
+        self._link()
         try:
+            # looked up now: a caller may replace them per instance after the build
+            steps = {
+                op_id: op.generate if op.is_source else op.process_item
+                for op_id, op in self.ops.items()
+            }
             while len(finished) < len(self.order):
                 progress = False
                 for op_id in self.order:
@@ -471,48 +498,84 @@ class DeterministicEngine(_Engine):
                         for e in self.out_edges[op_id].values()
                     ):
                         continue
+                    counters = op.counters
                     if op.is_source:
                         if not op.exhausted:
-                            before = op.counters.tuples_out + op.counters.puncts_out
-                            op.generate(self.quantum)
-                            if (op.counters.tuples_out + op.counters.puncts_out) != before or op.exhausted:
+                            before = counters.tuples_out + counters.puncts_out
+                            steps[op_id](quantum)
+                            if (counters.tuples_out + counters.puncts_out) != before or op.exhausted:
                                 progress = True
                         if op.exhausted:
-                            finish_op(op)
+                            self._finish(op)
+                            finished.add(op_id)
                             progress = True
                         continue
-                    spent = 0.0
-                    before_work = op.counters.work_units
-                    items_done = 0
-                    while spent < self.quantum:
-                        nxt = next_item(op_id)
-                        if nxt is None:
-                            if self._end_inputs(op, ended_inputs[op_id]):
-                                progress = True
-                            if len(ended_inputs[op_id]) == len(self.in_edges[op_id]):
-                                finish_op(op)
-                                progress = True
-                            break
-                        input_index, item = nxt
-                        if is_punct(item):
-                            op.counters.puncts_in += 1
+                    process_item = steps[op_id]
+                    before = counters.work_units
+                    items = 0
+                    it, index = cursor.pop(op_id, (None, 0))
+                    while True:
+                        if it is None:
+                            # next page, round-robin across the inputs
+                            edges = self.in_edges[op_id]
+                            n = len(edges)
+                            start = rr_input[op_id]
+                            for k in range(n):
+                                edge = edges[(start + k) % n]
+                                if edge.pages:
+                                    rr_input[op_id] = (start + k + 1) % n
+                                    it, index = iter(edge.pages.popleft()), edge.input_index
+                                    break
+                            else:
+                                if end_inputs(op, ended_inputs[op_id]):
+                                    progress = True
+                                if len(ended_inputs[op_id]) == n:
+                                    self._finish(op)
+                                    finished.add(op_id)
+                                    progress = True
+                                break
+                        for item in it:
+                            if type(item) is EmbeddedPunctuation:
+                                counters.puncts_in += 1
+                            else:
+                                counters.tuples_in += 1
+                            process_item(index, item)
+                            items += 1
+                            if counters.work_units - before >= quantum or items >= max_items:
+                                break
                         else:
-                            op.counters.tuples_in += 1
-                        op.process_item(input_index, item)
-                        items_done += 1
+                            it = None  # page done: the turn goes on with the next
+                            continue
+                        cursor[op_id] = (it, index)  # quantum spent
+                        break
+                    if items:
                         progress = True
-                        spent = max(
-                            op.counters.work_units - before_work,
-                            items_done * _MIN_ITEM_COST,
-                        )
                 if not progress:
                     break
         except Exception as exc:
             raise RunError(f"operator {op_id!r} failed: {exc}") from exc
+        finally:
+            self._unlink()
         if len(finished) < len(self.order):
             blocked = [o for o in self.order if o not in finished]
             raise RunError(f"deadlock: no runnable operator among {blocked}")
         return self._report()
+
+
+def _max_items(quantum: float):
+    """The fewest items whose floor cost ``k * _MIN_ITEM_COST`` reaches
+    ``quantum``, so that a turn ends on the item where its work or its
+    floor cost first reaches the quantum; unbounded past 2**53 items, a
+    count no turn reaches."""
+    estimate = quantum / _MIN_ITEM_COST
+    if estimate >= 2.0**53:
+        return math.inf
+    k = math.ceil(estimate)
+    while k * _MIN_ITEM_COST < quantum:
+        k += 1
+    while k > 1 and (k - 1) * _MIN_ITEM_COST >= quantum:
+        k -= 1
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +663,7 @@ class ConcurrentEngine(_Engine):
                         continue
                     index = edge.input_index
                     for item in page:
-                        if is_punct(item):
+                        if type(item) is EmbeddedPunctuation:
                             counters.puncts_in += 1
                         else:
                             counters.tuples_in += 1
@@ -622,10 +685,14 @@ class ConcurrentEngine(_Engine):
             threading.Thread(target=self._run_op, args=(op_id,), name=op_id)
             for op_id in self.order
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        self._link()
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            self._unlink()
         if self._errors:
             op_id, exc = self._errors[0]
             raise RunError(f"operator {op_id!r} failed: {exc}") from exc

@@ -13,10 +13,10 @@ import random
 from typing import Callable, Tuple
 
 from punctstream.core import AttrType, Constraint, Pattern, Schema, assumed
-from punctstream.generators import READING_SCHEMA
+from punctstream.generators import READING_SCHEMA, round_tenths
 from punctstream.operators import REGISTRY
 from punctstream.oracle import OracleResult, oracle_check
-from punctstream.runtime import DeterministicEngine, Plan
+from punctstream.runtime import Plan
 
 C = Constraint
 
@@ -24,12 +24,10 @@ KINDS = ("select", "count", "sum", "average", "max", "join", "pace")
 
 
 def _reading_rows(rng: random.Random, n: int):
+    randrange, rand = rng.randrange, rng.random
+    # the speed is round(rng.uniform(10.0, 70.0), 1), written out
     return [
-        (
-            rng.randrange(4),
-            ts,
-            None if rng.random() < 0.1 else round(rng.uniform(10.0, 70.0), 1),
-        )
+        (randrange(4), ts, None if rand() < 0.1 else round_tenths(10.0 + 60.0 * rand()))
         for ts in range(n)
     ]
 
@@ -122,7 +120,7 @@ def random_workload(seed: int) -> Tuple[Callable[[], Plan], dict, str]:
             plan.add("out", "sink", inputs=["op"], injections=injections)
             return plan
 
-        out = DeterministicEngine(base_plan(), REGISTRY).ops["op"].out_schema
+        out = REGISTRY[kind]("op", (READING_SCHEMA,), params).out_schema
         inj = _injections(rng, lambda: _agg_pattern(rng, out, kind, n))
         return (
             lambda: base_plan(inj),
@@ -154,7 +152,7 @@ def random_workload(seed: int) -> Tuple[Callable[[], Plan], dict, str]:
             plan.add("out", "sink", inputs=["op"], injections=injections)
             return plan
 
-        out = DeterministicEngine(base_plan(), REGISTRY).ops["op"].out_schema
+        out = REGISTRY["join"]("op", (left_schema, right_schema), join_params).out_schema
 
         def join_pattern():
             by = {}

@@ -1,13 +1,28 @@
-"""Engine behavior: paging, backpressure, determinism, control channel,
-plan-build errors and failing operators."""
+"""Engine behavior: paging, backpressure, determinism, the pinned
+deterministic schedule, control channel, plan-build errors, failing
+operators and engine lifetime."""
 
+import gc
+import hashlib
+import itertools
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
-from punctstream.core import AttrType, Constraint, Pattern, Schema, assumed, is_punct
+from punctstream.core import (
+    AttrType,
+    Constraint,
+    EmbeddedPunctuation,
+    Pattern,
+    Schema,
+    assumed,
+    is_punct,
+)
+from punctstream.experiments import ImputationLagConfig, ZoomConfig, imputation_plan, zoom_plan
+from punctstream.generators import ZoomSchedule
 from punctstream.operators import REGISTRY, Source
 from punctstream.runtime import (
     ConcurrentEngine,
@@ -89,6 +104,81 @@ def test_double_run_is_byte_identical():
     assert make().run().to_bytes() == make().run().to_bytes()
 
 
+# sha256 of to_bytes() plus the page log: the schedule of every turn shows in
+# the page log, and these values were recorded before the turn loop was
+# rewritten around page-local iteration
+PINNED_SCHEDULES = {
+    ("zoom-propagate", 0.5): "48f91fab32b8b3ade9fd31eeb0db086cf51b081650943362b44017b5df9f2a60",
+    ("zoom-propagate", 3): "0886ef4e11644fc69be188813f16e078f45ac77077f7a2c8c6c0d17de7ebc9de",
+    ("zoom-propagate", 37): "152f652d58a3dde002b11b6c31424d3e8967cb1e8bb273c0017fbf2a02d84712",
+    ("zoom-propagate", 1000): "186e24014655e1bd727cbbfbad695dd4b45a16c56870c332b9c7753f8e0eb4b5",
+    ("impute-lag", 0.5): "f77b2c4c35499b627c4f9fec183cfe0521702927211eadef2f85510210769640",
+    ("impute-lag", 3): "4a929fd9672ff29e43e5bfb0057d89064543dd5e71830f088f7715eab74c248b",
+    ("impute-lag", 37): "4bc263f4a44a87f2ebf76e4e742417082a5b22985c6a814bc305911bd0887ce1",
+    ("impute-lag", 1000): "9d416f3f198e6cc3990b466bfb843d44657e0e2f9c54319df72173ff4d939e1d",
+}
+
+
+@pytest.mark.parametrize("study, quantum", sorted(PINNED_SCHEDULES))
+def test_schedule_is_pinned(study, quantum):
+    if study == "zoom-propagate":
+        cfg = ZoomConfig().scaled(0.01)
+        eng = DeterministicEngine(
+            zoom_plan(cfg, "propagate"), REGISTRY, page_size=cfg.page_size,
+            quantum=quantum, transfer_cost=cfg.costs.transfer, trace_pages=True,
+        )
+        eng.ops["out"].time_injector = ZoomSchedule(
+            output_schema=eng.ops["avg"].out_schema,
+            segments=cfg.segments,
+            interval_seconds=cfg.zoom_interval_seconds,
+            duration_seconds=cfg.duration_seconds,
+            lead_seconds=cfg.lead_seconds,
+        )
+    else:
+        cfg = ImputationLagConfig(n_rows=3000)
+        eng = DeterministicEngine(
+            imputation_plan(cfg), REGISTRY, page_size=cfg.page_size,
+            quantum=quantum, trace_pages=True,
+        )
+    report = eng.run()
+    digest = hashlib.sha256(report.to_bytes() + repr(report.page_log).encode())
+    assert digest.hexdigest() == PINNED_SCHEDULES[(study, quantum)]
+
+
+@pytest.mark.parametrize(
+    "quantum, longest_turn",
+    [(0.07, 7), (0.5, 50), (1.15, 115), (3, 300),
+     (0.030000000000000002, 4), (0.07000000000000002, 8), (0.29000000000000004, 30)],
+)
+def test_zero_cost_turns_end_on_the_item_floor(quantum, longest_turn):
+    # punctuation costs a select and a sink nothing, so only the floor of
+    # _MIN_ITEM_COST per item ends their turns: after the fewest items k
+    # with k * _MIN_ITEM_COST >= quantum (values recorded from the
+    # scheduler that compared max(work, items * _MIN_ITEM_COST))
+    punct = EmbeddedPunctuation(Pattern.of(SCHEMA, ts=C.le(-1)))
+    items = []
+    for i in range(4):
+        items += [(i, 0)] + [punct] * 300
+    plan = Plan()
+    plan.add("src", "source", schema=SCHEMA, rows=items)
+    plan.add("sel", "select", inputs=["src"], eval_cost=0.0)
+    plan.add("out", "sink", inputs=["sel"])
+    eng = DeterministicEngine(plan, REGISTRY, quantum=quantum)
+    calls = []
+    for op_id in ("sel", "out"):
+        op = eng.ops[op_id]
+
+        def record(input_index, item, op_id=op_id, process_item=op.process_item):
+            calls.append(op_id)
+            process_item(input_index, item)
+
+        op.process_item = record
+    eng.run()
+    turns = [(op_id, len(list(run))) for op_id, run in itertools.groupby(calls)]
+    assert max(n for op_id, n in turns if op_id == "sel") == longest_turn
+    assert max(n for op_id, n in turns if op_id == "out") == longest_turn
+
+
 def test_backpressure_bounds_queue_depth():
     eng = DeterministicEngine(
         linear_plan(2000), REGISTRY, page_size=10, queue_pages=3, trace_pages=True
@@ -156,6 +246,54 @@ def test_plan_build_error_names_the_node(node, kind, params, named):
     with pytest.raises(PlanError) as exc:
         DeterministicEngine(plan, REGISTRY)
     assert f"{node!r}" in str(exc.value) and named in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "engine_cls, setting, value",
+    [
+        (DeterministicEngine, "quantum", 0),
+        (DeterministicEngine, "quantum", -2.5),
+        (DeterministicEngine, "page_size", 0),
+        (DeterministicEngine, "queue_pages", 0),
+        (ConcurrentEngine, "page_size", 0),
+        (ConcurrentEngine, "queue_pages", 0),
+    ],
+)
+def test_engine_settings_fail_at_build(engine_cls, setting, value):
+    # in a daemon thread: a concurrent run with no room in its queues hangs
+    raised = []
+
+    def build_and_run():
+        try:
+            engine_cls(linear_plan(20), REGISTRY, **{setting: value}).run()
+        except (PlanError, RunError) as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=build_and_run, daemon=True)
+    thread.start()
+    thread.join(timeout=9)
+    assert not thread.is_alive(), "still running"
+    assert len(raised) == 1 and type(raised[0]) is PlanError
+    assert setting in str(raised[0])
+
+
+def test_input_references():
+    plan = linear_plan(10)
+    plan.nodes["sel"].inputs = ["src.x"]
+    with pytest.raises(PlanError) as exc:
+        DeterministicEngine(plan, REGISTRY)
+    assert "'sel'" in str(exc.value) and "'x'" in str(exc.value)
+    plan.nodes["sel"].inputs = ["nowhere.0"]
+    with pytest.raises(PlanError, match="unknown input 'nowhere.0'"):
+        DeterministicEngine(plan, REGISTRY)
+    # a whole reference is tried as a node id first, so ids may hold dots
+    plan = Plan()
+    plan.add("a.b", "source", schema=SCHEMA, rows=rows(5))
+    plan.add("c", "select", inputs=["a.b.0"])
+    plan.add("out", "sink", inputs=["c"])
+    assert DeterministicEngine(plan, REGISTRY).run().outputs["out"] == rows(5)
+    plan.nodes["c"].inputs = ["a.b"]
+    assert DeterministicEngine(plan, REGISTRY).run().outputs["out"] == rows(5)
 
 
 def test_cycle_rejected():
@@ -255,3 +393,19 @@ def test_failing_operator_ends_the_run(engine_cls, failing):
     thread.join(timeout=9)
     assert not thread.is_alive(), "run() still running"
     assert [str(e) for e in raised] == [f"operator {failing!r} failed: boom"]
+
+
+@pytest.mark.parametrize("run", [False, True], ids=["built", "run"])
+@pytest.mark.parametrize("engine_cls", [DeterministicEngine, ConcurrentEngine])
+def test_engine_is_freed_without_the_cycle_collector(engine_cls, run):
+    gc.collect()
+    gc.disable()
+    try:
+        eng = engine_cls(linear_plan(300, punct_interval=7), REGISTRY, page_size=16)
+        if run:
+            assert eng.run().outputs["out"] == rows(300)
+        ref = weakref.ref(eng)
+        del eng
+        assert ref() is None
+    finally:
+        gc.enable()
