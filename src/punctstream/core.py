@@ -126,9 +126,18 @@ _ANY, _EQ, _LT, _LE, _GT, _GE, _RANGE = (
     Op.ANY, Op.EQ, Op.LT, Op.LE, Op.GT, Op.GE, Op.RANGE
 )
 _COMPARISONS = (_LT, _LE, _GT, _GE, _RANGE)
+# text form of the single-value comparisons
+_SYMBOLS = {_EQ: "=", _LT: "<", _LE: "<=", _GT: ">", _GE: ">="}
 
 
-@dataclass(frozen=True)
+# Every punctuation and feedback message builds a Constraint and a Pattern,
+# so both keep their fields in slots, set in an __init__ of their own
+# through a module-level object.__setattr__: faster to build than the
+# dataclass's frozen __init__, and smaller than an instance dict.
+_setattr = object.__setattr__
+
+
+@dataclass(frozen=True, init=False, slots=True)
 class Constraint:
     """Single-attribute constraint of a punctuation pattern.
 
@@ -144,6 +153,14 @@ class Constraint:
     lo_incl: bool = True
     hi_incl: bool = False
 
+    def __init__(self, op, value=None, lo=None, hi=None, lo_incl=True, hi_incl=False):
+        _setattr(self, "op", op)
+        _setattr(self, "value", value)
+        _setattr(self, "lo", lo)
+        _setattr(self, "hi", hi)
+        _setattr(self, "lo_incl", lo_incl)
+        _setattr(self, "hi_incl", hi_incl)
+
     # -- constructors -------------------------------------------------
     @staticmethod
     def wildcard() -> "Constraint":
@@ -151,29 +168,29 @@ class Constraint:
 
     @staticmethod
     def eq(v) -> "Constraint":
-        return Constraint(Op.EQ, value=v)
+        return Constraint(_EQ, v)
 
     @staticmethod
     def lt(v) -> "Constraint":
-        return Constraint(Op.LT, value=v)
+        return Constraint(_LT, v)
 
     @staticmethod
     def le(v) -> "Constraint":
-        return Constraint(Op.LE, value=v)
+        return Constraint(_LE, v)
 
     @staticmethod
     def gt(v) -> "Constraint":
-        return Constraint(Op.GT, value=v)
+        return Constraint(_GT, v)
 
     @staticmethod
     def ge(v) -> "Constraint":
-        return Constraint(Op.GE, value=v)
+        return Constraint(_GE, v)
 
     @staticmethod
     def interval(lo, hi) -> "Constraint":
         if not lo < hi:
             raise ValueError(f"interval requires lo < hi, got [{lo}, {hi})")
-        return Constraint(Op.RANGE, lo=lo, hi=hi)
+        return Constraint(_RANGE, lo=lo, hi=hi)
 
     # -- evaluation ---------------------------------------------------
     def matches_value(self, v) -> bool:
@@ -200,9 +217,9 @@ class Constraint:
         """Value test specialised to this constraint's op; agrees with
         ``matches_value`` (the interpretive reference) on every value."""
         op = self.op
-        if op is Op.ANY:
+        if op is _ANY:
             return lambda v: True
-        if op is Op.RANGE:
+        if op is _RANGE:
             lo, hi = self.lo, self.hi
             if lo is None or hi is None:  # null bound: keep the reference's errors
                 return self.matches_value
@@ -214,13 +231,13 @@ class Constraint:
                 return lambda v: v is not None and lo < v <= hi
             return lambda v: v is not None and lo < v < hi
         x = self.value
-        if op is Op.EQ:
+        if op is _EQ:
             return lambda v: v is not None and v == x
-        if op is Op.LT:
+        if op is _LT:
             return lambda v: v is not None and v < x
-        if op is Op.LE:
+        if op is _LE:
             return lambda v: v is not None and v <= x
-        if op is Op.GT:
+        if op is _GT:
             return lambda v: v is not None and v > x
         return lambda v: v is not None and v >= x
 
@@ -231,14 +248,13 @@ class Constraint:
     # -- text form ----------------------------------------------------
     def format(self) -> str:
         op = self.op
-        if op is Op.ANY:
+        if op is _ANY:
             return "*"
-        if op is Op.RANGE:
+        if op is _RANGE:
             lb = "[" if self.lo_incl else "("
             rb = "]" if self.hi_incl else ")"
             return f"{lb}{_fmt_value(self.lo)},{_fmt_value(self.hi)}{rb}"
-        sym = {Op.EQ: "=", Op.LT: "<", Op.LE: "<=", Op.GT: ">", Op.GE: ">="}[op]
-        return f"{sym}{_fmt_value(self.value)}"
+        return _SYMBOLS[op] + _fmt_value(self.value)
 
     def __str__(self) -> str:
         return self.format()
@@ -345,24 +361,22 @@ def _constraint_from_bounds(b, discrete: bool) -> Constraint:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class Pattern:
     """Per-attribute constraint vector describing a subset of a stream."""
 
     schema: Schema
     constraints: tuple
 
-    def __post_init__(self):
-        cs = self.constraints
-        if type(cs) is not tuple:
-            cs = tuple(cs)
-            object.__setattr__(self, "constraints", cs)
-        schema = self.schema
-        if len(cs) != len(schema):
+    def __init__(self, schema: Schema, constraints):
+        cs = constraints if type(constraints) is tuple else tuple(constraints)
+        if len(cs) != len(schema.attributes):
             raise ValueError(f"pattern arity {len(cs)} != schema arity {len(schema)}")
         for c, orderable, name in zip(cs, schema.orderable, schema.attr_names):
             if not orderable and c.op in _COMPARISONS:
                 raise ValueError(f"comparison constraint on non-orderable attribute {name!r}")
+        _setattr(self, "schema", schema)
+        _setattr(self, "constraints", cs)
 
     @staticmethod
     def all_wildcard(schema: Schema) -> "Pattern":
@@ -371,9 +385,17 @@ class Pattern:
     @staticmethod
     def of(schema: Schema, **by_name) -> "Pattern":
         """Build a pattern from attribute-name keyword arguments."""
-        cs = [_WILDCARD] * len(schema)
+        cs = [_WILDCARD] * len(schema.attributes)
         for name, c in by_name.items():
             cs[schema.index_of(name)] = c
+        return Pattern(schema, tuple(cs))
+
+    @staticmethod
+    def progress(schema: Schema, bound) -> "Pattern":
+        """``ts <= bound`` on the schema's timestamp attribute, the pattern
+        of a progress punctuation."""
+        cs = [_WILDCARD] * len(schema.attributes)
+        cs[schema.timestamp_attr] = Constraint(_LE, bound)
         return Pattern(schema, tuple(cs))
 
     def constrained_indices(self) -> tuple:
@@ -417,7 +439,7 @@ class Pattern:
         return match
 
     def format(self) -> str:
-        return f"{self.schema.name}: [{', '.join(c.format() for c in self.constraints)}]"
+        return f"{self.schema.name}: [{', '.join([c.format() for c in self.constraints])}]"
 
     def __str__(self) -> str:
         return self.format()

@@ -77,12 +77,16 @@ class _Guard:
         return True
 
 
-class GuardSet:
+class GuardSet(dict):
     """Retained feedback patterns with punctuation-driven expiration.
 
     A guard expires once an embedded punctuation subsuming it has been
     processed: the stream then can no longer produce matching items, so
     keeping the pattern would only accumulate state.
+
+    The set is a dict whose keys are the live guards (``_Guard`` -> None,
+    in insertion order), so ``if guards:`` and ``len(guards)`` cost no
+    Python call on the per-row path.
 
     Invariants, kept incrementally by ``add`` and ``expire``:
 
@@ -103,18 +107,12 @@ class GuardSet:
     The set is changed only from its operator's thread.
     """
 
-    __slots__ = ("_live", "_index", "_scan")
+    __slots__ = ("_index", "_scan")
 
     def __init__(self):
-        self._live = {}   # _Guard -> None, in insertion order
+        super().__init__()
         self._index = {}  # attribute index -> {value: {_Guard: matcher}}
         self._scan = {}   # _Guard -> matcher, guards without an equality
-
-    def __len__(self):
-        return len(self._live)
-
-    def __bool__(self):
-        return bool(self._live)
 
     def add(self, pattern: Pattern) -> bool:
         """Install ``pattern``; False when it changes nothing ``drop``
@@ -122,18 +120,18 @@ class GuardSet:
         if core.is_empty(pattern):
             return False
         new = _Guard(pattern)
-        for g in self._live:
+        for g in self:
             if g.may_subsume(new) and core.subsumes(g.pattern, pattern):
                 return False
         for g in [
-            g for g in self._live
+            g for g in self
             if new.may_subsume(g) and core.subsumes(pattern, g.pattern)
         ]:
             self._remove(g)
         # looked up on the class at each call: the benchmark tracer
         # patches Pattern.matcher to count guard checks
         m = pattern.matcher()
-        self._live[new] = None
+        self[new] = None
         if new.eqs:
             i, x = new.eqs[0]
             self._index.setdefault(i, {}).setdefault(x, {})[new] = m
@@ -154,13 +152,13 @@ class GuardSet:
         return False
 
     def expire(self, punct_pattern: Pattern) -> int:
-        if not self._live:
+        if not self:
             return 0
         probe = _Guard(punct_pattern)
         # core.subsumes is looked up on the module at each call, here and
         # in add, never imported by name: the benchmark tracer patches it
         doomed = [
-            g for g in self._live
+            g for g in self
             if probe.may_subsume(g) and core.subsumes(punct_pattern, g.pattern)
         ]
         for g in doomed:
@@ -168,7 +166,7 @@ class GuardSet:
         return len(doomed)
 
     def _remove(self, g: _Guard) -> None:
-        del self._live[g]
+        del self[g]
         if not g.eqs:
             del self._scan[g]
             return
@@ -303,36 +301,45 @@ class Source(SourceOperator):
         self._max_ts = None
 
     def _punct(self, bound: int) -> EmbeddedPunctuation:
-        return EmbeddedPunctuation(
-            Pattern.of(self.schema, **{self.schema.attr_names[self._ts_idx]: Constraint.le(bound)})
-        )
+        return EmbeddedPunctuation(Pattern.progress(self.schema, bound))
 
     def generate(self, budget: float) -> None:
-        emit = self.emit
-        counters = self.counters
+        # rows are emitted a run at a time, each run ending where a
+        # punctuation or the budget does
+        emit, emit_rows = self.emit, self.emit_rows
         ts_idx = self._ts_idx
         interval = self.punct_interval
         boundary = self._next_boundary
         max_ts = self._max_ts
+        run = []
+        append = run.append
         emitted = 0
         try:
             for item in self._iter:
                 if type(item) is EmbeddedPunctuation:
+                    if run:
+                        emit_rows(run, 1.0)
+                        run.clear()
                     emit(item)
                     continue
                 ts = item[ts_idx]
                 if ts is not None:
-                    if boundary is not None:
+                    if boundary is not None and ts >= boundary:
+                        if run:
+                            emit_rows(run, 1.0)
+                            run.clear()
                         while ts >= boundary:
                             emit(self._punct(boundary - 1))
                             boundary += interval
                     if max_ts is None or ts > max_ts:
                         max_ts = ts
-                counters.work_units += 1.0
-                emit(item)
+                append(item)
                 emitted += 1
                 if emitted >= budget:
+                    emit_rows(run, 1.0)
                     return
+            if run:
+                emit_rows(run, 1.0)
             if self.final_punct and max_ts is not None:
                 emit(self._punct(max_ts))
             self.exhausted = True
@@ -478,10 +485,6 @@ class Select(Operator):
 # ---------------------------------------------------------------------------
 
 
-def _any_null(row) -> bool:
-    return None in row
-
-
 class Split(Operator):
     """Routes each row to the clean (port 0) or dirty (port 1) output;
     punctuation is forwarded to both.  Feedback from one branch installs an
@@ -493,7 +496,8 @@ class Split(Operator):
     def __init__(self, node_id, input_schema: Schema, route="any_null"):
         super().__init__(node_id, (input_schema,), (input_schema, input_schema))
         self.schema = input_schema
-        self.dirty = _any_null if route == "any_null" else compile_predicate(route, input_schema)
+        # None for the default route, which process_item tests inline
+        self.dirty = None if route == "any_null" else compile_predicate(route, input_schema)
         self.port_guards = (GuardSet(), GuardSet())
 
     @property
@@ -507,13 +511,18 @@ class Split(Operator):
             self.emit(item, port=0)
             self.emit(item, port=1)
             return
-        self.counters.work_units += 1.0
-        port = 1 if self.dirty(item) else 0
+        counters = self.counters
+        counters.work_units += 1.0
+        dirty = self.dirty
+        if dirty is None:
+            port = 1 if None in item else 0
+        else:
+            port = 1 if dirty(item) else 0
         guards = self.port_guards[port]
         if guards and guards.drop(item):
-            self.counters.guard_drops += 1
+            counters.guard_drops += 1
             return
-        self.emit(item, port=port)
+        self.emit(item, port)
 
     def on_feedback(self, output_port, fb):
         if fb.intent is not Intent.ASSUMED:
@@ -567,19 +576,24 @@ class Impute(Operator):
             self.guards.expire(item.pattern)
             self.emit(item)
             return
-        if self.guards and self.guards.drop(item):
-            self.counters.guard_drops += 1
+        counters = self.counters
+        guards = self.guards
+        if guards and guards.drop(item):
+            counters.guard_drops += 1
             return
-        self.counters.work_units += self.cost
+        cost = self.cost
+        counters.work_units += cost
         if self.cost_mode == "wallclock":
-            time.sleep(self.cost / 1000.0)
-        key = item[self.key_idx] if self.key_idx is not None else None
+            time.sleep(cost / 1000.0)
+        key_idx = self.key_idx
+        key = item[key_idx] if key_idx is not None else None
+        last, default = self._last, self.default
         values = list(item)
         for i, v in enumerate(values):
             if v is None:
-                values[i] = self._last.get((key, i), self.default)
-            elif self.key_idx is not None:
-                self._last[(key, i)] = v
+                values[i] = last.get((key, i), default)
+            elif key_idx is not None:
+                last[(key, i)] = v
         self.emit(tuple(values))
 
     def on_feedback(self, output_port, fb):
@@ -651,11 +665,6 @@ class Pace(Operator):
         self.divergence_series: list = []
         self._arrivals = 0
 
-    def _ts_pattern(self, ctor, bound) -> Pattern:
-        return Pattern.of(
-            self.schema, **{self.schema.attr_names[self._ts]: ctor(bound)}
-        )
-
     def process_item(self, input_index, item):
         if type(item) is EmbeddedPunctuation:
             b = _punct_ts_bound(item.pattern, self._ts)
@@ -666,41 +675,44 @@ class Pace(Operator):
                     merged = min(self._punct_bound)
                     if self._emitted_bound is None or merged > self._emitted_bound:
                         self._emitted_bound = merged
-                        self.emit(EmbeddedPunctuation(self._ts_pattern(Constraint.le, merged)))
+                        self.emit(EmbeddedPunctuation(Pattern.progress(self.schema, merged)))
             return
         self.counters.work_units += 1.0
         ts = item[self._ts]
-        self._arrivals += 1
+        arrivals = self._arrivals = self._arrivals + 1
         self.in_totals[input_index] += 1
         if ts is None:
             self.emit(item)
             return
-        prev = self._input_ts[input_index]
-        self._input_ts[input_index] = ts if prev is None else max(prev, ts)
-        if self.high_watermark is None or ts > self.high_watermark:
-            self.high_watermark = ts
-        if self.tolerance is None:
+        input_ts = self._input_ts
+        prev = input_ts[input_index]
+        if prev is None or ts > prev:
+            input_ts[input_index] = ts
+        high = self.high_watermark
+        if high is None or ts > high:
+            high = self.high_watermark = ts
+        tolerance = self.tolerance
+        if tolerance is None:
             self.emit(item)
             return
-        threshold = self.high_watermark - self.tolerance
+        threshold = high - tolerance
         if input_index == self.divergence_input:
-            self.divergence_series.append((self._arrivals, self.high_watermark - ts))
-        late = ts < threshold
-        if late:
+            self.divergence_series.append((arrivals, high - ts))
+        if ts < threshold:
             self.late_counts[input_index] += 1
-        if late and self.enforce:
-            pass  # too late: ignored
+            if not self.enforce:
+                self.emit(item)  # else too late: ignored
         else:
             self.emit(item)
+        if not self.feedback:
+            return
         fb_bound = threshold + self.feedback_margin
-        if self.feedback and (
-            self.last_feedback_watermark is None
-            or fb_bound >= self.last_feedback_watermark + self.throttle
-        ):
+        last = self.last_feedback_watermark
+        if last is None or fb_bound >= last + self.throttle:
             sent = False
             for i, seen in enumerate(self._input_ts):
                 if seen is not None and seen < fb_bound:
-                    pat = self._ts_pattern(Constraint.le, fb_bound)
+                    pat = Pattern.progress(self.schema, fb_bound)
                     self.sent_patterns.append(pat)
                     self.send_feedback(i, assumed(pat))
                     sent = True
@@ -892,7 +904,7 @@ class WindowAggregate(Operator):
         last_win = (ts_bound + 1) // self.range * self.range - self.range
         if self._out_punct_bound is None or last_win > self._out_punct_bound:
             self._out_punct_bound = last_win
-            p = Pattern.of(self.out_schema, win=Constraint.le(last_win))
+            p = Pattern.progress(self.out_schema, last_win)
             self.output_guards.expire(p)
             self.emit(EmbeddedPunctuation(p))
 
@@ -901,7 +913,7 @@ class WindowAggregate(Operator):
             self._emit_result(key, self.state[key])
         if self.state:
             last_win = max(k[0] for k in self.state)
-            p = Pattern.of(self.out_schema, win=Constraint.le(last_win))
+            p = Pattern.progress(self.out_schema, last_win)
             self.output_guards.expire(p)
             self.emit(EmbeddedPunctuation(p))
         self.state.clear()
@@ -1013,6 +1025,8 @@ class Join(Operator):
         for li, ri in zip(self.left_keys, self.right_keys):
             if left.attr_types[li] != right.attr_types[ri]:
                 raise ValueError("join attribute types differ")
+        if window is not None and window <= 0:
+            raise ValueError(f"join window must be positive, got {window!r}")
         self.window = window
         right_extra = tuple(
             i for i in range(len(right)) if i not in self.right_keys
@@ -1084,13 +1098,17 @@ class Join(Operator):
             else:
                 right_extra = self._right_extra_of(item)
                 outs = [tuple(m) + right_extra for m in matches]
-            guards, counters, emit = self.output_guards, self.counters, self.emit
-            for out in outs:
-                if guards and guards.drop(out):
-                    counters.guard_drops += 1
-                    continue
-                counters.work_units += 1.0
-                emit(out)
+            guards = self.output_guards
+            if not guards:
+                self.emit_rows(outs, 1.0)
+            else:
+                counters, emit = self.counters, self.emit
+                for out in outs:
+                    if guards.drop(out):
+                        counters.guard_drops += 1
+                        continue
+                    counters.work_units += 1.0
+                    emit(out)
         self.tables[input_index].setdefault(key, []).append(item)
 
     def _advance_bound(self, input_index, bound):
@@ -1114,8 +1132,7 @@ class Join(Operator):
                     table[key] = kept
                 else:
                     del table[key]
-        out_ts_name = self.out_schema.attr_names[self.out_schema.timestamp_attr]
-        p = Pattern.of(self.out_schema, **{out_ts_name: Constraint.le(merged)})
+        p = Pattern.progress(self.out_schema, merged)
         self.output_guards.expire(p)
         self.emit(EmbeddedPunctuation(p))
 
@@ -1176,6 +1193,8 @@ class Sink(Operator):
         self._ts = input_schema.timestamp_attr
         self._max_ts = None
         self._observed = None
+        # rows arrived so far; the engine counts tuples_in a page at a time
+        self._arrived = 0
 
     def process_item(self, input_index, item):
         self.collected.append(item)
@@ -1184,21 +1203,20 @@ class Sink(Operator):
             if b is not None and (self._observed is None or b > self._observed):
                 self._observe(b)
             return
+        arrived = self._arrived = self._arrived + 1
         ts = item[self._ts]
         if ts is not None:
-            if self._max_ts is None or ts > self._max_ts:
-                self._max_ts = ts
+            max_ts = self._max_ts
+            if max_ts is None or ts > max_ts:
+                max_ts = self._max_ts = ts
             if self.record_divergence:
-                self.divergence_series.append(
-                    (self.counters.tuples_in, self._max_ts - ts)
-                )
-            if self._observed is None or ts > self._observed:
+                self.divergence_series.append((arrived, max_ts - ts))
+            observed = self._observed
+            if observed is None or ts > observed:
                 self._observe(ts)
-        while (
-            self._injected < len(self.injections)
-            and self.counters.tuples_in >= self.injections[self._injected][0]
-        ):
-            _, fb = self.injections[self._injected]
+        injections = self.injections
+        while self._injected < len(injections) and arrived >= injections[self._injected][0]:
+            _, fb = injections[self._injected]
             self._injected += 1
             self.sent_patterns.append(fb.pattern)
             self.send_feedback(0, fb)

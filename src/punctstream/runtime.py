@@ -7,20 +7,29 @@ edge's upstream control channel, and is delivered before pending data.
 The engine core wires a plan, pages operator output onto the edges,
 carries feedback, and tracks input ends; the two schedulers differ only in
 how they run the operators.  Operators are linked to their engine only
-while ``run()`` runs: it binds each operator's context and its emitter
-when it starts and unlinks both when it ends, so an engine is never kept
-alive by a reference cycle through its operators.
+while ``run()`` runs: it binds each operator's context and its emitters
+when it starts and unlinks them when it ends, so an engine is never kept
+alive by a reference cycle through its operators.  An operator emits one
+item with ``emit`` and a batch of rows with ``emit_rows(rows, cost)``,
+which charges ``cost`` per row and pages the rows exactly as that many
+``emit`` calls would.  Every punctuation flushes its page, so a page holds
+at most one punctuation, as its last item; the schedulers therefore count
+a page's inputs when they take it, not per item.
 
-The deterministic scheduler runs everything on one thread, visiting
-operators in topological order round-robin.  Each turn drains pending
-feedback first and yields at once if an output queue is full; then it
-walks the operator's pages, taking inputs round-robin a page at a time,
-until the operator's work units have grown by the quantum or it has
-consumed the fewest items whose floor cost (``_MIN_ITEM_COST`` each)
-reaches the quantum.  A page left part-way is resumed on the next turn, so
-equal plans and settings replay bit-identically.  The concurrent
-scheduler runs one thread per operator with blocking bounded queues;
-correctness must not depend on delivery timing.
+When a run starts, each scheduler builds one ``_Turn`` per operator: its
+step (``generate`` or ``process_item``) and handlers looked up then, its
+output control and page queues, its inputs and where it resumes.  The
+deterministic scheduler runs everything on one thread, visiting the
+operators of its turn table in topological order round-robin; a finished
+operator leaves the table.  Each turn delivers pending feedback first
+and yields at once if an output queue is full; then it walks the
+operator's pages, taking inputs round-robin a page at a time, until the
+operator's work units have grown by the quantum or it has consumed the
+fewest items whose floor cost (``_MIN_ITEM_COST`` each) reaches the
+quantum.  A page left part-way is resumed on the next turn, so equal
+plans and settings replay bit-identically.  The concurrent scheduler runs
+one thread per operator with blocking bounded queues; correctness must
+not depend on delivery timing.
 """
 
 from __future__ import annotations
@@ -108,6 +117,12 @@ class Operator:
     def emit(self, item, port: int = 0) -> None:
         """Queue ``item`` on output ``port``.  A running engine replaces
         this per instance with an emitter bound to its output buffers."""
+        raise RunError(f"operator {self.id!r} emits outside a run")
+
+    def emit_rows(self, rows: list, cost: float, port: int = 0) -> None:
+        """Charge ``cost`` work units per row and emit each, as that many
+        ``emit`` calls would, in the same order; bound per run like
+        ``emit``."""
         raise RunError(f"operator {self.id!r} emits outside a run")
 
     def send_feedback(self, input_index: int, fb: FeedbackPunctuation) -> None:
@@ -315,7 +330,8 @@ class _Engine:
                 raise PlanError(f"unknown operator kind {node.kind!r} at node {node_id!r}")
             try:
                 op = kind(node_id, tuple(e.schema for e in edges), node.params)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OSError, RunError) as exc:
+                # OSError and RunError: a stream file that cannot be read
                 raise PlanError(f"node {node_id!r} ({node.kind}): {exc}") from exc
             self.ops[node_id] = op
             self.in_edges[node_id] = edges
@@ -332,20 +348,23 @@ class _Engine:
 
     # -- linking operators for a run -------------------------------------
     def _link(self) -> None:
-        """Make every operator's context this engine and bind its emitter."""
+        """Make every operator's context this engine and bind its emitters."""
         for op in self.ops.values():
             op._ctx = self
-            op.emit = self._emitter(op)
+            op.emit, op.emit_rows = self._emitters(op)
 
     def _unlink(self) -> None:
         for op in self.ops.values():
             op._ctx = None
             op.__dict__.pop("emit", None)
+            op.__dict__.pop("emit_rows", None)
 
-    def _emitter(self, op: Operator):
-        """``op.emit`` for a run: appends to the ``(op.id, port)`` buffer,
-        counts the item, and flushes a full page or one that ends in a
-        punctuation through ``self._flush``."""
+    def _emitters(self, op: Operator):
+        """``op.emit`` and ``op.emit_rows`` for a run.  Both append to the
+        ``(op.id, port)`` buffer, count what they append, and flush a full
+        page or one that ends in a punctuation through ``self._flush``;
+        ``emit_rows`` charges each row's cost just before appending it, so
+        work units add up in the same order as per-row ``emit`` calls."""
         counters = op.counters
         page_size = self.page_size
         buffers = [self._buffers[(op.id, port)] for port in range(op.n_outputs)]
@@ -361,7 +380,23 @@ class _Engine:
                 if len(buf) >= page_size:
                     self._flush(op, port)
 
-        return emit
+        def emit_rows(rows: list, cost: float, port: int = 0) -> None:
+            buf = buffers[port]
+            start, n = 0, len(rows)
+            while start < n:
+                # a buffer holds less than a page, so each pass takes a row
+                stop = min(n, start + page_size - len(buf))
+                work = counters.work_units
+                for _ in range(stop - start):
+                    work += cost
+                counters.work_units = work
+                buf += rows[start:stop]
+                counters.tuples_out += stop - start
+                start = stop
+                if len(buf) >= page_size:
+                    self._flush(op, port)
+
+        return emit, emit_rows
 
     # -- context API ---------------------------------------------------
     def _flush(self, op: Operator, port: int) -> None:
@@ -395,27 +430,6 @@ class _Engine:
         self._wake(edge.producer)
 
     # -- bookkeeping shared by the schedulers ----------------------------
-    def _drain_control(self, op: Operator) -> bool:
-        """Deliver the feedback pending on ``op``'s outputs; True if any was."""
-        did = False
-        for port, edge in self.out_edges[op.id].items():
-            control = edge.control_up
-            while control:
-                op.on_feedback(port, control.popleft())
-                did = True
-        return did
-
-    def _end_inputs(self, op: Operator, ended: set) -> bool:
-        """Tell ``op`` of each input that has closed and been consumed since
-        the last call, adding it to ``ended``; True if there was one."""
-        did = False
-        for edge in self.in_edges[op.id]:
-            if edge.eos and not edge.pages and edge.input_index not in ended:
-                ended.add(edge.input_index)
-                op.on_input_end(edge.input_index)
-                did = True
-        return did
-
     def _finish(self, op: Operator) -> None:
         """``op`` has no more input: let it flush its state, then close its
         outputs."""
@@ -442,6 +456,57 @@ class _Engine:
             divergence=divergence,
             page_log=self.page_log,
         )
+
+
+class _Turn:
+    """An operator's scheduling state for one run, built when the run
+    starts: its step (``generate`` or ``process_item``) and handlers as
+    looked up then, the control and page queues of its outputs, its inputs,
+    and where its next turn resumes.  The deterministic scheduler keeps one
+    per unfinished operator in its turn table, the concurrent scheduler one
+    per operator thread."""
+
+    __slots__ = (
+        "op_id", "op", "is_source", "step", "on_feedback", "on_input_end",
+        "controls", "outs", "edges", "open", "rr", "it", "index", "finished",
+    )
+
+    def __init__(self, engine: _Engine, op_id: str):
+        op = engine.ops[op_id]
+        self.op_id = op_id
+        self.op = op
+        self.is_source = op.is_source
+        self.step = op.generate if op.is_source else op.process_item
+        self.on_feedback = op.on_feedback
+        self.on_input_end = op.on_input_end
+        outputs = engine.out_edges[op_id].items()
+        self.controls = tuple((port, e.control_up) for port, e in outputs)
+        self.outs = tuple((e.pages, e.capacity_pages) for _, e in outputs)
+        self.edges = tuple(engine.in_edges[op_id])
+        self.open = list(self.edges)  # inputs not yet ended, in input order
+        self.rr = 0          # input to take the next page from
+        self.it = None       # iterator over the rest of a page left part-way
+        self.index = 0       # the input that page came from
+        self.finished = False
+
+    def end_inputs(self) -> bool:
+        """Tell the operator of each input that has closed and been consumed
+        since the last call; True if there was one."""
+        ended = [e for e in self.open if e.eos and not e.pages]
+        for edge in ended:
+            self.open.remove(edge)
+            self.on_input_end(edge.input_index)
+        return bool(ended)
+
+
+def _count_page(counters: Counters, page: list) -> None:
+    """Count a page's items as input.  A page ends in its only punctuation,
+    if it has one: every punctuation flushes the page it is appended to."""
+    if type(page[-1]) is EmbeddedPunctuation:
+        counters.puncts_in += 1
+        counters.tuples_in += len(page) - 1
+    else:
+        counters.tuples_in += len(page)
 
 
 # ---------------------------------------------------------------------------
@@ -471,93 +536,86 @@ class DeterministicEngine(_Engine):
 
     def run(self) -> RunReport:
         quantum, max_items = self.quantum, self._max_items
-        drain_control, end_inputs = self._drain_control, self._end_inputs
-        cursor = {}  # op id -> (iterator over the rest of a page, input index)
-        rr_input = dict.fromkeys(self.order, 0)
-        ended_inputs = {op_id: set() for op_id in self.order}
-        finished = set()
-        op_id = None
+        turn = None
         self._link()
         try:
-            # looked up now: a caller may replace them per instance after the build
-            steps = {
-                op_id: op.generate if op.is_source else op.process_item
-                for op_id, op in self.ops.items()
-            }
-            while len(finished) < len(self.order):
-                progress = False
-                for op_id in self.order:
-                    if op_id in finished:
-                        continue
-                    op = self.ops[op_id]
-                    if drain_control(op):
-                        progress = True
+            table = [_Turn(self, op_id) for op_id in self.order]
+            while table:
+                progress = finished = False
+                for turn in table:
+                    op = turn.op
+                    for port, control in turn.controls:
+                        if control:
+                            on_feedback = turn.on_feedback
+                            while control:
+                                on_feedback(port, control.popleft())
+                            progress = True
                     # backpressure: yield while any output queue is full
-                    if any(
-                        len(e.pages) >= e.capacity_pages
-                        for e in self.out_edges[op_id].values()
-                    ):
+                    full = False
+                    for pages, capacity in turn.outs:
+                        if len(pages) >= capacity:
+                            full = True
+                            break
+                    if full:
                         continue
                     counters = op.counters
-                    if op.is_source:
+                    if turn.is_source:
                         if not op.exhausted:
                             before = counters.tuples_out + counters.puncts_out
-                            steps[op_id](quantum)
+                            turn.step(quantum)
                             if (counters.tuples_out + counters.puncts_out) != before or op.exhausted:
                                 progress = True
                         if op.exhausted:
                             self._finish(op)
-                            finished.add(op_id)
-                            progress = True
+                            turn.finished = finished = progress = True
                         continue
-                    process_item = steps[op_id]
+                    step = turn.step
                     before = counters.work_units
                     items = 0
-                    it, index = cursor.pop(op_id, (None, 0))
+                    it, index = turn.it, turn.index
                     while True:
                         if it is None:
                             # next page, round-robin across the inputs
-                            edges = self.in_edges[op_id]
+                            edges = turn.edges
                             n = len(edges)
-                            start = rr_input[op_id]
+                            start = turn.rr
                             for k in range(n):
                                 edge = edges[(start + k) % n]
                                 if edge.pages:
-                                    rr_input[op_id] = (start + k + 1) % n
-                                    it, index = iter(edge.pages.popleft()), edge.input_index
+                                    turn.rr = (start + k + 1) % n
+                                    page = edge.pages.popleft()
+                                    _count_page(counters, page)
+                                    it, index = iter(page), edge.input_index
                                     break
                             else:
-                                if end_inputs(op, ended_inputs[op_id]):
+                                if turn.end_inputs():
                                     progress = True
-                                if len(ended_inputs[op_id]) == n:
+                                if not turn.open:
                                     self._finish(op)
-                                    finished.add(op_id)
-                                    progress = True
+                                    turn.finished = finished = progress = True
                                 break
-                        for item in it:
-                            if type(item) is EmbeddedPunctuation:
-                                counters.puncts_in += 1
-                            else:
-                                counters.tuples_in += 1
-                            process_item(index, item)
-                            items += 1
+                        for items, item in enumerate(it, items + 1):
+                            step(index, item)
                             if counters.work_units - before >= quantum or items >= max_items:
                                 break
                         else:
                             it = None  # page done: the turn goes on with the next
                             continue
-                        cursor[op_id] = (it, index)  # quantum spent
-                        break
+                        break  # quantum spent
+                    turn.it, turn.index = it, index
                     if items:
                         progress = True
+                if finished:
+                    table = [t for t in table if not t.finished]
                 if not progress:
                     break
         except Exception as exc:
+            op_id = turn.op_id if turn is not None else None
             raise RunError(f"operator {op_id!r} failed: {exc}") from exc
         finally:
             self._unlink()
-        if len(finished) < len(self.order):
-            blocked = [o for o in self.order if o not in finished]
+        if table:
+            blocked = [t.op_id for t in table]
             raise RunError(f"deadlock: no runnable operator among {blocked}")
         return self._report()
 
@@ -617,33 +675,38 @@ class ConcurrentEngine(_Engine):
             self._wake(edge.consumer)
 
     def _run_op(self, op_id: str) -> None:
-        op = self.ops[op_id]
         try:
+            turn = _Turn(self, op_id)
+            op = turn.op
+            controls, on_feedback = turn.controls, turn.on_feedback
             if op.is_source:
-                generate = op.generate
+                generate = turn.step
                 while not op.exhausted:
-                    self._drain_control(op)
+                    for port, control in controls:
+                        while control:
+                            on_feedback(port, control.popleft())
                     generate(self.page_size)
             else:
-                edges = self.in_edges[op_id]
-                outputs = list(self.out_edges[op_id].values())
+                edges = turn.edges
                 cond = self._wakeups[op_id]
-                ended = set()
 
                 def pending() -> bool:
                     # read under ``cond``, which every waker takes to notify
                     return (
                         self._aborted
-                        or any(e.pages or (e.eos and e.input_index not in ended) for e in edges)
-                        or any(e.control_up for e in outputs)
+                        or any(e.pages for e in edges)
+                        or any(e.eos for e in turn.open)
+                        or any(control for _, control in controls)
                     )
 
-                process_item = op.process_item
+                process_item = turn.step
                 counters = op.counters
                 n = len(edges)
                 rr = 0
                 while True:
-                    self._drain_control(op)
+                    for port, control in controls:
+                        while control:
+                            on_feedback(port, control.popleft())
                     for k in range(n):
                         edge = edges[(rr + k) % n]
                         if edge.pages:
@@ -653,20 +716,17 @@ class ConcurrentEngine(_Engine):
                             rr = (rr + k + 1) % n
                             break
                     else:
-                        self._end_inputs(op, ended)
-                        if len(ended) == n:
+                        turn.end_inputs()
+                        if not turn.open:
                             break
                         with cond:
                             cond.wait_for(pending)
                         if self._aborted:
                             raise _Aborted
                         continue
+                    _count_page(counters, page)
                     index = edge.input_index
                     for item in page:
-                        if type(item) is EmbeddedPunctuation:
-                            counters.puncts_in += 1
-                        else:
-                            counters.tuples_in += 1
                         process_item(index, item)
             self._finish(op)
         except _Aborted:

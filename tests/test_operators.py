@@ -417,6 +417,21 @@ def test_pace_sends_upstream_feedback_at_lagging_input():
     assert "<=" in text and "*" in text
 
 
+def test_pace_keeps_each_input_at_its_highest_timestamp():
+    pace = REGISTRY["pace"]("p", (SENSOR, SENSOR), {"tolerance": 20, "throttle": 1})
+    out, sent = [], []
+    pace.emit = lambda item, port=0: out.append(item)
+    pace.send_feedback = lambda input_index, fb: sent.append(input_index)
+    pace.process_item(1, (2, 90, 60.0))
+    pace.process_item(1, (2, 10, 60.0))  # late, and behind its own input
+    pace.process_item(0, (1, 100, 50.0))
+    # input 1 has reached 90, past every bound declared so far (70, 80):
+    # no input lags, so no feedback is sent
+    assert sent == []
+    assert out == [(2, 90, 60.0), (1, 100, 50.0)]
+    assert pace.late_counts == [0, 1] and pace.in_totals == [1, 2]
+
+
 def test_pace_merges_punctuation_at_minimum():
     a = [(1, t, 50.0) for t in range(100)]
     b = [(2, t, 60.0) for t in range(50)]

@@ -31,6 +31,7 @@ from punctstream.runtime import (
     PlanError,
     RunError,
 )
+from punctstream.workloads import random_workload
 
 C = Constraint
 
@@ -106,7 +107,13 @@ def test_double_run_is_byte_identical():
 
 # sha256 of to_bytes() plus the page log: the schedule of every turn shows in
 # the page log, and these values were recorded before the turn loop was
-# rewritten around page-local iteration
+# rewritten around page-local iteration.  The "t0.07" studies run at a
+# transfer cost of 0.07 per item, whose sums are not exact in binary, so
+# that they pin the order in which work units are added: zoom-propagate
+# (with the page log) and, as one hash, the join plans among
+# random_workload seeds 0-199, each with feedback off and on, at the
+# engine's default quantum (None); recorded before rows were emitted in
+# batches.
 PINNED_SCHEDULES = {
     ("zoom-propagate", 0.5): "48f91fab32b8b3ade9fd31eeb0db086cf51b081650943362b44017b5df9f2a60",
     ("zoom-propagate", 3): "0886ef4e11644fc69be188813f16e078f45ac77077f7a2c8c6c0d17de7ebc9de",
@@ -116,16 +123,36 @@ PINNED_SCHEDULES = {
     ("impute-lag", 3): "4a929fd9672ff29e43e5bfb0057d89064543dd5e71830f088f7715eab74c248b",
     ("impute-lag", 37): "4bc263f4a44a87f2ebf76e4e742417082a5b22985c6a814bc305911bd0887ce1",
     ("impute-lag", 1000): "9d416f3f198e6cc3990b466bfb843d44657e0e2f9c54319df72173ff4d939e1d",
+    ("zoom-propagate-t0.07-feedback-off", None):
+        "45f60f18b34d7442d995316d25bca6403d7ee7d5ffe33e1b849c9f6daa7793e9",
+    ("zoom-propagate-t0.07-feedback-on", None):
+        "cb0422f9ba88812431be8e4f04e7b0242b9b5b5a394920d02ae16aadfc91e2aa",
+    ("joins-t0.07-feedback-off", None):
+        "08960d68e7eb406b11a5caa17e2b00fa2dc96de8a528be3c7d556bf7ef8b0334",
+    ("joins-t0.07-feedback-on", None):
+        "30ca49944d39bab603182c818de24276d512413dee68067ae562b6b02fe07a03",
 }
 
 
-@pytest.mark.parametrize("study, quantum", sorted(PINNED_SCHEDULES))
-def test_schedule_is_pinned(study, quantum):
-    if study == "zoom-propagate":
+def _pinned_digest(study, quantum) -> str:
+    feedback = not study.endswith("-feedback-off")
+    if study.startswith("joins-"):
+        digest = hashlib.sha256()
+        for seed in range(200):
+            make_plan, engine_kw, desc = random_workload(seed)
+            if desc.startswith("join "):
+                digest.update(DeterministicEngine(
+                    make_plan(), REGISTRY, feedback_enabled=feedback,
+                    transfer_cost=0.07, **engine_kw,
+                ).run().to_bytes())
+        return digest.hexdigest()
+    if study.startswith("zoom-propagate"):
         cfg = ZoomConfig().scaled(0.01)
+        transfer = 0.07 if "-t0.07-" in study else cfg.costs.transfer
         eng = DeterministicEngine(
             zoom_plan(cfg, "propagate"), REGISTRY, page_size=cfg.page_size,
-            quantum=quantum, transfer_cost=cfg.costs.transfer, trace_pages=True,
+            quantum=quantum, feedback_enabled=feedback, transfer_cost=transfer,
+            trace_pages=True,
         )
         eng.ops["out"].time_injector = ZoomSchedule(
             output_schema=eng.ops["avg"].out_schema,
@@ -141,8 +168,15 @@ def test_schedule_is_pinned(study, quantum):
             quantum=quantum, trace_pages=True,
         )
     report = eng.run()
-    digest = hashlib.sha256(report.to_bytes() + repr(report.page_log).encode())
-    assert digest.hexdigest() == PINNED_SCHEDULES[(study, quantum)]
+    return hashlib.sha256(report.to_bytes() + repr(report.page_log).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "study, quantum", sorted(PINNED_SCHEDULES, key=lambda k: (k[0], k[1] or 0)),
+    ids=lambda v: "default" if v is None else None,
+)
+def test_schedule_is_pinned(study, quantum):
+    assert _pinned_digest(study, quantum) == PINNED_SCHEDULES[(study, quantum)]
 
 
 @pytest.mark.parametrize(
@@ -210,6 +244,32 @@ def test_feedback_reaches_upstream_and_installs_guard():
     assert all(r[1] != 3 for r in tail)
 
 
+def test_sink_counts_rows_as_they_arrive():
+    # the engine adds a page's input counts when it takes the page, so the
+    # sink keeps its own count: injections fire after exactly their number
+    # of rows, and divergence samples carry the 1-based arrival index
+    plan = linear_plan(100, punct_interval=30)
+    pattern = Pattern.of(SCHEMA, datavalue=C.eq(3))
+    plan.nodes["out"].params.update(
+        injections=((10, assumed(pattern)), (25, assumed(pattern))),
+        record_divergence=True,
+    )
+    eng = DeterministicEngine(plan, REGISTRY, page_size=20)
+    sink = eng.ops["out"]
+    arrived_at_send = []
+    send = sink.send_feedback
+
+    def record(input_index, fb):
+        arrived_at_send.append(sum(1 for i in sink.collected if not is_punct(i)))
+        send(input_index, fb)
+
+    sink.send_feedback = record
+    report = eng.run()
+    assert arrived_at_send == [10, 25]
+    indices = [i for i, _ in report.divergence["out"]]
+    assert indices == list(range(1, len(report.outputs["out"]) + 1))
+
+
 def test_feedback_disabled_engine_drops_messages():
     plan = linear_plan(500, punct_interval=50)
     plan.nodes["out"].params["injections"] = (
@@ -236,16 +296,44 @@ def test_unconnected_output_rejected():
         ("src", "source", {"punct_interval": "abc"}, "'punct_interval'"),
         ("src", "source", {"punct_interval": 0}, "punct_interval"),
         ("sel", "mystery", {}, "'mystery'"),
+        ("j", "join", {"window": 0}, "window"),
+        ("j", "join", {"window": -60}, "window"),
     ],
-    ids=["unknown-parameter", "wrong-type", "bad-value", "unknown-kind"],
+    ids=[
+        "unknown-parameter", "wrong-type", "bad-value", "unknown-kind",
+        "join-window-zero", "join-window-negative",
+    ],
 )
 def test_plan_build_error_names_the_node(node, kind, params, named):
     plan = linear_plan(10)
+    # beside the linear chain, a join of two more sources
+    plan.add("jl", "source", schema=SCHEMA, rows=rows(10))
+    plan.add("jr", "source", schema=SCHEMA, rows=rows(10))
+    plan.add("j", "join", inputs=["jl", "jr"], on=(("ts", "ts"), ("datavalue", "datavalue")))
+    plan.add("jout", "sink", inputs=["j"])
+    assert DeterministicEngine(plan, REGISTRY).run().outputs["jout"]
     plan.nodes[node].kind = kind
     plan.nodes[node].params.update(params)
     with pytest.raises(PlanError) as exc:
         DeterministicEngine(plan, REGISTRY)
     assert f"{node!r}" in str(exc.value) and named in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [(None, "nonexistent"), ("0,1\n1,2,3\n", "expected 2 values")],
+    ids=["missing-file", "malformed-row"],
+)
+def test_stream_file_error_names_the_node(tmp_path, text, named):
+    path = tmp_path / "nonexistent.txt"
+    if text is not None:
+        path.write_text("schema reading(ts:timestamp, datavalue:int)\n" + text)
+    plan = Plan()
+    plan.add("src", "source", file=str(path))
+    plan.add("out", "sink", inputs=["src"])
+    with pytest.raises(PlanError) as exc:
+        DeterministicEngine(plan, REGISTRY)
+    assert "'src'" in str(exc.value) and named in str(exc.value)
 
 
 @pytest.mark.parametrize(
