@@ -53,7 +53,6 @@ def _cmd_impute_lag(args) -> int:
         tolerance_seconds=args.tolerance,
         feedback_margin=args.margin,
         impute_cost=args.impute_cost,
-        cost_mode=args.cost_mode,
         page_size=args.page_size,
         seed=args.seed,
     )
@@ -129,7 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
     lag_p.add_argument("--tolerance", type=int, default=60)
     lag_p.add_argument("--margin", type=int, default=30)
     lag_p.add_argument("--impute-cost", type=float, default=3.0)
-    lag_p.add_argument("--cost-mode", choices=["virtual", "wallclock"], default="virtual")
     lag_p.add_argument("--page-size", type=int, default=10)
     lag_p.add_argument("--divergence", help="write the lag series to this CSV file")
     lag_p.add_argument("--divergence-with-feedback", action="store_true",

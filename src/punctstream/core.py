@@ -1,10 +1,12 @@
 """Core data model: schemas, rows, punctuation patterns and the two kinds
 of punctuation, plus the pattern algebra (matching, subsumption,
-conjunction) and its text syntax.
+conjunction), its text syntax, and ``GuardSet``, the retained feedback
+patterns that operators declare and the engine applies.
 
 Rows are plain Python tuples positionally aligned with their schema;
-``None`` is the null value.  All types here are immutable after
-construction and safe to share across concurrent operators.
+``None`` is the null value.  All types here but ``GuardSet`` are
+immutable after construction and safe to share across concurrent
+operators.
 """
 
 from __future__ import annotations
@@ -526,6 +528,143 @@ def conjoin(p: Pattern, q: Pattern) -> Optional[Pattern]:
             return None
         out.append(_constraint_from_bounds(b, discrete))
     return Pattern(p.schema, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Guards
+# ---------------------------------------------------------------------------
+
+
+class _Guard:
+    """A pattern and the keys ``GuardSet`` places and pre-checks it by."""
+
+    __slots__ = ("pattern", "eqs", "hi")
+
+    def __init__(self, pattern: Pattern):
+        self.pattern = pattern
+        # (attribute index, value) of every equality constraint; the first
+        # one is the guard's bucket in the equality index
+        self.eqs = tuple(
+            (i, c.value) for i, c in enumerate(pattern.constraints) if c.op is _EQ
+        )
+        # inclusive upper bound on the progress attribute, None if unbounded
+        c = pattern.constraints[pattern.schema.timestamp_attr]
+        self.hi = _bounds(c, True)[2]
+
+    def may_subsume(self, other: "_Guard") -> bool:
+        """Cheap necessary condition for ``subsumes(self.pattern,
+        other.pattern)`` when ``other`` is satisfiable."""
+        if self.hi is not None and (other.hi is None or other.hi > self.hi):
+            return False
+        cs = other.pattern.constraints
+        for i, x in self.eqs:
+            c = cs[i]
+            if c.op is _ANY or (c.op is _EQ and c.value != x):
+                return False
+        return True
+
+
+class GuardSet(dict):
+    """Retained feedback patterns with punctuation-driven expiration.
+
+    A guard expires once an embedded punctuation subsuming it has been
+    processed: the stream then can no longer produce matching items, so
+    keeping the pattern would only accumulate state.
+
+    The set is a dict whose keys are the live guards (``_Guard`` -> None,
+    in insertion order), so ``if guards:`` and ``len(guards)`` cost no
+    Python call on the per-row path.
+
+    Invariants, kept incrementally by ``add`` and ``expire``:
+
+    - Equality index: a guard with an equality constraint sits in exactly
+      one bucket, keyed by the attribute and value of its first one;
+      every other guard is in the scan list.  ``drop`` probes one bucket
+      per indexed attribute, then the scan list, and decides each
+      candidate with the pattern's compiled matcher.
+    - Subsumption-aware add: no live guard subsumes another, an empty
+      pattern is never added, and a pattern subsumed by a live guard is
+      skipped.  The rows ``drop`` matches are those matched by the
+      patterns added and not yet covered by a punctuation, so ``len``
+      can be smaller than that count but never larger.
+
+    ``add`` and ``expire`` scan the live guards, which are few, and call
+    ``subsumes`` only on those that pass ``_Guard.may_subsume``: a
+    punctuation ``ts <= b`` is tried only on guards bounded by ``b``.
+    The set is changed only from its operator's thread.
+    """
+
+    __slots__ = ("_index", "_scan")
+
+    def __init__(self):
+        super().__init__()
+        self._index = {}  # attribute index -> {value: {_Guard: matcher}}
+        self._scan = {}   # _Guard -> matcher, guards without an equality
+
+    def add(self, pattern: Pattern) -> bool:
+        """Install ``pattern``; False when it changes nothing ``drop``
+        matches (it is empty or a live guard subsumes it)."""
+        if is_empty(pattern):
+            return False
+        new = _Guard(pattern)
+        for g in self:
+            if g.may_subsume(new) and subsumes(g.pattern, pattern):
+                return False
+        for g in [
+            g for g in self
+            if new.may_subsume(g) and subsumes(pattern, g.pattern)
+        ]:
+            self._remove(g)
+        # looked up on the class at each call: the benchmark tracer
+        # patches Pattern.matcher to count guard checks
+        m = pattern.matcher()
+        self[new] = None
+        if new.eqs:
+            i, x = new.eqs[0]
+            self._index.setdefault(i, {}).setdefault(x, {})[new] = m
+        else:
+            self._scan[new] = m
+        return True
+
+    def drop(self, row) -> bool:
+        for i, buckets in self._index.items():
+            bucket = buckets.get(row[i])
+            if bucket:
+                for m in bucket.values():
+                    if m(row):
+                        return True
+        for m in self._scan.values():
+            if m(row):
+                return True
+        return False
+
+    def expire(self, punct_pattern: Pattern) -> int:
+        if not self:
+            return 0
+        probe = _Guard(punct_pattern)
+        # subsumes is looked up in this module at each call, here and in
+        # add: the benchmark tracer patches it
+        doomed = [
+            g for g in self
+            if probe.may_subsume(g) and subsumes(punct_pattern, g.pattern)
+        ]
+        for g in doomed:
+            self._remove(g)
+        return len(doomed)
+
+    def _remove(self, g: _Guard) -> None:
+        del self[g]
+        if not g.eqs:
+            del self._scan[g]
+            return
+        i, x = g.eqs[0]
+        buckets = self._index[i]
+        bucket = buckets[x]
+        del bucket[g]
+        if not bucket:
+            del buckets[x]
+            if not buckets:
+                del self._index[i]
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ class ImputationLagConfig:
     tolerance_seconds: int = 60
     feedback_margin: int = 30
     impute_cost: float = 3.0
-    cost_mode: str = "virtual"
     # small pages keep the control loop tight: the declared bound goes
     # stale by roughly one scheduling round of stream time
     page_size: int = 10
@@ -85,7 +84,7 @@ def imputation_plan(config: ImputationLagConfig) -> Plan:
     plan.add("split", "split", inputs=["src"])
     plan.add(
         "impute", "impute", inputs=["split.1"], key="det",
-        cost=config.impute_cost, cost_mode=config.cost_mode, default=40.0,
+        cost=config.impute_cost, default=40.0,
     )
     plan.add(
         "merge", "pace", inputs=["split.0", "impute"],

@@ -7,6 +7,12 @@ matching results, (2) an input guard — drop matching arrivals, (3) a state
 purge, and (4) propagation of a rewritten pattern to antecedents, but only
 when each action provably keeps the produced stream sandwiched between the
 full output and the full output minus the feedback subset.
+
+Operators declare guards and the engine applies them: ``on_feedback`` adds
+a pattern to one of ``input_guards`` or ``output_guards``, and the engine
+core (``punctstream.runtime``) drops, charges and counts the rows they
+match and expires them on punctuation.  Operators keep state purges, the
+aggregate's suppressed windows and propagation.
 """
 
 from __future__ import annotations
@@ -14,16 +20,14 @@ from __future__ import annotations
 import inspect
 import operator as pyop
 import re
-import time
 import typing
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, Optional
 
-from punctstream import core
 from punctstream.core import (
     AttrType,
     Constraint,
     EmbeddedPunctuation,
-    FeedbackPunctuation,
+    GuardSet,  # re-exported, next to the operators that fill it
     Intent,
     Op,
     Pattern,
@@ -31,7 +35,6 @@ from punctstream.core import (
     assumed,
     parse_value,
     _ANY,
-    _EQ,
     _bounds,
 )
 from punctstream.propagation import (
@@ -41,143 +44,6 @@ from punctstream.propagation import (
     identity_mapping,
 )
 from punctstream.runtime import Operator, PlanError, RunError, SourceOperator
-
-
-# ---------------------------------------------------------------------------
-# Guards
-# ---------------------------------------------------------------------------
-
-
-class _Guard:
-    """A pattern and the keys ``GuardSet`` places and pre-checks it by."""
-
-    __slots__ = ("pattern", "eqs", "hi")
-
-    def __init__(self, pattern: Pattern):
-        self.pattern = pattern
-        # (attribute index, value) of every equality constraint; the first
-        # one is the guard's bucket in the equality index
-        self.eqs = tuple(
-            (i, c.value) for i, c in enumerate(pattern.constraints) if c.op is _EQ
-        )
-        # inclusive upper bound on the progress attribute, None if unbounded
-        c = pattern.constraints[pattern.schema.timestamp_attr]
-        self.hi = _bounds(c, True)[2]
-
-    def may_subsume(self, other: "_Guard") -> bool:
-        """Cheap necessary condition for ``subsumes(self.pattern,
-        other.pattern)`` when ``other`` is satisfiable."""
-        if self.hi is not None and (other.hi is None or other.hi > self.hi):
-            return False
-        cs = other.pattern.constraints
-        for i, x in self.eqs:
-            c = cs[i]
-            if c.op is _ANY or (c.op is _EQ and c.value != x):
-                return False
-        return True
-
-
-class GuardSet(dict):
-    """Retained feedback patterns with punctuation-driven expiration.
-
-    A guard expires once an embedded punctuation subsuming it has been
-    processed: the stream then can no longer produce matching items, so
-    keeping the pattern would only accumulate state.
-
-    The set is a dict whose keys are the live guards (``_Guard`` -> None,
-    in insertion order), so ``if guards:`` and ``len(guards)`` cost no
-    Python call on the per-row path.
-
-    Invariants, kept incrementally by ``add`` and ``expire``:
-
-    - Equality index: a guard with an equality constraint sits in exactly
-      one bucket, keyed by the attribute and value of its first one;
-      every other guard is in the scan list.  ``drop`` probes one bucket
-      per indexed attribute, then the scan list, and decides each
-      candidate with the pattern's compiled matcher.
-    - Subsumption-aware add: no live guard subsumes another, an empty
-      pattern is never added, and a pattern subsumed by a live guard is
-      skipped.  The rows ``drop`` matches are those matched by the
-      patterns added and not yet covered by a punctuation, so ``len``
-      can be smaller than that count but never larger.
-
-    ``add`` and ``expire`` scan the live guards, which are few, and call
-    ``core.subsumes`` only on those that pass ``_Guard.may_subsume``: a
-    punctuation ``ts <= b`` is tried only on guards bounded by ``b``.
-    The set is changed only from its operator's thread.
-    """
-
-    __slots__ = ("_index", "_scan")
-
-    def __init__(self):
-        super().__init__()
-        self._index = {}  # attribute index -> {value: {_Guard: matcher}}
-        self._scan = {}   # _Guard -> matcher, guards without an equality
-
-    def add(self, pattern: Pattern) -> bool:
-        """Install ``pattern``; False when it changes nothing ``drop``
-        matches (it is empty or a live guard subsumes it)."""
-        if core.is_empty(pattern):
-            return False
-        new = _Guard(pattern)
-        for g in self:
-            if g.may_subsume(new) and core.subsumes(g.pattern, pattern):
-                return False
-        for g in [
-            g for g in self
-            if new.may_subsume(g) and core.subsumes(pattern, g.pattern)
-        ]:
-            self._remove(g)
-        # looked up on the class at each call: the benchmark tracer
-        # patches Pattern.matcher to count guard checks
-        m = pattern.matcher()
-        self[new] = None
-        if new.eqs:
-            i, x = new.eqs[0]
-            self._index.setdefault(i, {}).setdefault(x, {})[new] = m
-        else:
-            self._scan[new] = m
-        return True
-
-    def drop(self, row) -> bool:
-        for i, buckets in self._index.items():
-            bucket = buckets.get(row[i])
-            if bucket:
-                for m in bucket.values():
-                    if m(row):
-                        return True
-        for m in self._scan.values():
-            if m(row):
-                return True
-        return False
-
-    def expire(self, punct_pattern: Pattern) -> int:
-        if not self:
-            return 0
-        probe = _Guard(punct_pattern)
-        # core.subsumes is looked up on the module at each call, here and
-        # in add, never imported by name: the benchmark tracer patches it
-        doomed = [
-            g for g in self
-            if probe.may_subsume(g) and core.subsumes(punct_pattern, g.pattern)
-        ]
-        for g in doomed:
-            self._remove(g)
-        return len(doomed)
-
-    def _remove(self, g: _Guard) -> None:
-        del self[g]
-        if not g.eqs:
-            del self._scan[g]
-            return
-        i, x = g.eqs[0]
-        buckets = self._index[i]
-        bucket = buckets[x]
-        del bucket[g]
-        if not bucket:
-            del buckets[x]
-            if not buckets:
-                del self._index[i]
 
 
 def _punct_ts_bound(pattern: Pattern, ts_idx: int) -> Optional[int]:
@@ -317,17 +183,15 @@ class Source(SourceOperator):
         try:
             for item in self._iter:
                 if type(item) is EmbeddedPunctuation:
-                    if run:
-                        emit_rows(run, 1.0)
-                        run.clear()
+                    emit_rows(run, 1.0)
+                    run.clear()
                     emit(item)
                     continue
                 ts = item[ts_idx]
                 if ts is not None:
                     if boundary is not None and ts >= boundary:
-                        if run:
-                            emit_rows(run, 1.0)
-                            run.clear()
+                        emit_rows(run, 1.0)
+                        run.clear()
                         while ts >= boundary:
                             emit(self._punct(boundary - 1))
                             boundary += interval
@@ -338,8 +202,7 @@ class Source(SourceOperator):
                 if emitted >= budget:
                     emit_rows(run, 1.0)
                     return
-            if run:
-                emit_rows(run, 1.0)
+            emit_rows(run, 1.0)
             if self.final_punct and max_ts is not None:
                 emit(self._punct(max_ts))
             self.exhausted = True
@@ -422,11 +285,35 @@ def format_schema_decl(schema: Schema) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Select
+# Select and Impute: one input, output rows aligned with input rows
 # ---------------------------------------------------------------------------
 
 
-class Select(Operator):
+class _InputGuarded(Operator):
+    """An operator whose output schema is its input's: assumed feedback
+    guards its input and, with ``propagate``, is relayed upstream through
+    the identity mapping."""
+
+    feedback_aware = True
+
+    def __init__(self, node_id, input_schema: Schema, propagate: bool):
+        super().__init__(node_id, (input_schema,), (input_schema,))
+        self.schema = input_schema
+        self.propagate = propagate
+        self.mapping = identity_mapping(input_schema)
+
+    def on_feedback(self, output_port, fb):
+        if not self.feedback_aware or fb.intent is not Intent.ASSUMED:
+            return
+        self.counters.feedback_received += 1
+        self.input_guards[0].add(fb.pattern)
+        if self.propagate:
+            (back,) = derive_input_patterns(fb.pattern, self.mapping)
+            if back is not None:
+                self.send_feedback(0, assumed(back))
+
+
+class Select(_InputGuarded):
     """Stateless filter; assumed feedback is simply added to the condition
     (drop matching rows) and relayed upstream through the identity mapping."""
 
@@ -440,44 +327,59 @@ class Select(Operator):
         feedback_aware: bool = True,
         propagate: bool = True,
     ):
-        super().__init__(node_id, (input_schema,), (input_schema,))
-        self.schema = input_schema
+        super().__init__(node_id, input_schema, propagate)
         self.pred = compile_predicate(predicate, input_schema)
         self.eval_cost = eval_cost
         self.guard_check_cost = guard_check_cost
         self.feedback_aware = feedback_aware
-        self.propagate = propagate
-        self.guards = GuardSet()
-        self.mapping = identity_mapping(input_schema)
-
-    @property
-    def active_guard_count(self) -> int:
-        return len(self.guards)
 
     def process_item(self, input_index, item):
         if type(item) is EmbeddedPunctuation:
-            self.guards.expire(item.pattern)
             self.emit(item)
             return
-        counters = self.counters
-        if self.guards:
-            counters.work_units += self.guard_check_cost
-            if self.guards.drop(item):
-                counters.guard_drops += 1
-                return
-        counters.work_units += self.eval_cost
+        self.counters.work_units += self.eval_cost
         if self.pred(item):
             self.emit(item)
 
-    def on_feedback(self, output_port, fb):
-        if not self.feedback_aware or fb.intent is not Intent.ASSUMED:
+
+class Impute(_InputGuarded):
+    """Replaces null readings with an estimate at a configurable per-row
+    cost: the last non-null value seen for the same key, else a default.
+
+    The engine drops guarded rows before the expensive step; rows queued
+    behind the operator are caught by the same guard when they are
+    dequeued, which purges the already-late backlog."""
+
+    def __init__(
+        self,
+        node_id,
+        input_schema: Schema,
+        cost: float = 10.0,
+        key: Optional[str] = None,
+        default=0,
+        propagate: bool = True,
+    ):
+        super().__init__(node_id, input_schema, propagate)
+        self.cost = cost
+        self.key_idx = input_schema.index_of(key) if key else None
+        self.default = default
+        self._last = {}  # (key, attr index) -> last non-null value
+
+    def process_item(self, input_index, item):
+        if type(item) is EmbeddedPunctuation:
+            self.emit(item)
             return
-        self.counters.feedback_received += 1
-        self.guards.add(fb.pattern)
-        if self.propagate:
-            (back,) = derive_input_patterns(fb.pattern, self.mapping)
-            if back is not None:
-                self.send_feedback(0, assumed(back))
+        self.counters.work_units += self.cost
+        key_idx = self.key_idx
+        key = item[key_idx] if key_idx is not None else None
+        last, default = self._last, self.default
+        values = list(item)
+        for i, v in enumerate(values):
+            if v is None:
+                values[i] = last.get((key, i), default)
+            elif key_idx is not None:
+                last[(key, i)] = v
+        self.emit(tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -492,119 +394,31 @@ class Split(Operator):
     relaying upstream would starve the other branch."""
 
     n_outputs = 2
+    row_cost = 1.0
 
     def __init__(self, node_id, input_schema: Schema, route="any_null"):
         super().__init__(node_id, (input_schema,), (input_schema, input_schema))
         self.schema = input_schema
         # None for the default route, which process_item tests inline
         self.dirty = None if route == "any_null" else compile_predicate(route, input_schema)
-        self.port_guards = (GuardSet(), GuardSet())
-
-    @property
-    def active_guard_count(self) -> int:
-        return sum(len(g) for g in self.port_guards)
 
     def process_item(self, input_index, item):
         if type(item) is EmbeddedPunctuation:
-            for g in self.port_guards:
-                g.expire(item.pattern)
             self.emit(item, port=0)
             self.emit(item, port=1)
             return
-        counters = self.counters
-        counters.work_units += 1.0
         dirty = self.dirty
         if dirty is None:
             port = 1 if None in item else 0
         else:
             port = 1 if dirty(item) else 0
-        guards = self.port_guards[port]
-        if guards and guards.drop(item):
-            counters.guard_drops += 1
-            return
         self.emit(item, port)
 
     def on_feedback(self, output_port, fb):
         if fb.intent is not Intent.ASSUMED:
             return
         self.counters.feedback_received += 1
-        self.port_guards[output_port].add(fb.pattern)
-
-
-# ---------------------------------------------------------------------------
-# Impute
-# ---------------------------------------------------------------------------
-
-
-class Impute(Operator):
-    """Replaces null readings with an estimate at a configurable per-row
-    cost: the last non-null value seen for the same key, else a default.
-
-    Guarded rows are dropped before the expensive step; rows queued behind
-    the operator are caught by the same guard when they are dequeued, which
-    purges the already-late backlog."""
-
-    def __init__(
-        self,
-        node_id,
-        input_schema: Schema,
-        cost: float = 10.0,
-        cost_mode: str = "virtual",
-        key: Optional[str] = None,
-        default=0,
-        propagate: bool = True,
-    ):
-        super().__init__(node_id, (input_schema,), (input_schema,))
-        self.schema = input_schema
-        self.cost = cost
-        if cost_mode not in ("virtual", "wallclock"):
-            raise ValueError(f"unknown cost mode {cost_mode!r}")
-        self.cost_mode = cost_mode
-        self.key_idx = input_schema.index_of(key) if key else None
-        self.default = default
-        self.propagate = propagate
-        self.guards = GuardSet()
-        self.mapping = identity_mapping(input_schema)
-        self._last = {}  # (key, attr index) -> last non-null value
-
-    @property
-    def active_guard_count(self) -> int:
-        return len(self.guards)
-
-    def process_item(self, input_index, item):
-        if type(item) is EmbeddedPunctuation:
-            self.guards.expire(item.pattern)
-            self.emit(item)
-            return
-        counters = self.counters
-        guards = self.guards
-        if guards and guards.drop(item):
-            counters.guard_drops += 1
-            return
-        cost = self.cost
-        counters.work_units += cost
-        if self.cost_mode == "wallclock":
-            time.sleep(cost / 1000.0)
-        key_idx = self.key_idx
-        key = item[key_idx] if key_idx is not None else None
-        last, default = self._last, self.default
-        values = list(item)
-        for i, v in enumerate(values):
-            if v is None:
-                values[i] = last.get((key, i), default)
-            elif key_idx is not None:
-                last[(key, i)] = v
-        self.emit(tuple(values))
-
-    def on_feedback(self, output_port, fb):
-        if fb.intent is not Intent.ASSUMED:
-            return
-        self.counters.feedback_received += 1
-        self.guards.add(fb.pattern)
-        if self.propagate:
-            (back,) = derive_input_patterns(fb.pattern, self.mapping)
-            if back is not None:
-                self.send_feedback(0, assumed(back))
+        self.output_guards[output_port].add(fb.pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +437,8 @@ class Pace(Operator):
     assumed pattern is a promise to ignore, not an obligation to drop —
     and without the margin everything that survives the upstream guard
     arrives right at the lateness boundary and is lost anyway."""
+
+    row_cost = 1.0
 
     def __init__(
         self,
@@ -677,7 +493,6 @@ class Pace(Operator):
                         self._emitted_bound = merged
                         self.emit(EmbeddedPunctuation(Pattern.progress(self.schema, merged)))
             return
-        self.counters.work_units += 1.0
         ts = item[self._ts]
         arrivals = self._arrivals = self._arrivals + 1
         self.in_totals[input_index] += 1
@@ -821,23 +636,17 @@ class WindowAggregate(Operator):
         )
         self.state = {}  # (win, group tuple) -> partial
         self.suppressed = set()  # keys guarded after purge
-        self.input_guards = GuardSet()
-        self.output_guards = GuardSet()
         self._value_feedback: list = []  # compiled live constraints (max only)
         self._agg_out_idx = len(out_attrs) - 1
         self._out_punct_bound: Optional[int] = None
 
     # -- aggregation --------------------------------------------------
     @property
-    def active_guard_count(self) -> int:
-        return len(self.input_guards) + len(self.output_guards) + len(self.suppressed)
-
-    @property
     def delimited_guard_count(self) -> int:
         """Guards that expire through punctuation: input guards plus
         suppressed-window records (output guards on the aggregate value
         are not delimited and persist)."""
-        return len(self.input_guards) + len(self.suppressed)
+        return len(self.input_guards[0]) + len(self.suppressed)
 
     def _result(self, partial):
         if partial is None:  # only null values arrived: nothing to report
@@ -849,17 +658,11 @@ class WindowAggregate(Operator):
 
     def process_item(self, input_index, item):
         if type(item) is EmbeddedPunctuation:
-            self.input_guards.expire(item.pattern)
             bound = _punct_ts_bound(item.pattern, self._ts)
             if bound is not None:
                 self._close_windows(bound)
             return
         counters = self.counters
-        if self.input_guards:
-            counters.work_units += self.guard_check_cost
-            if self.input_guards.drop(item):
-                counters.guard_drops += 1
-                return
         ts = item[self._ts]
         if ts is None:
             return  # unassignable to a window
@@ -877,46 +680,29 @@ class WindowAggregate(Operator):
             if cur is not None and any(test(cur) for test in self._value_feedback):
                 self._suppress_key(key, propagate=self.feedback_mode == "exploit_propagate")
 
-    def _out_row(self, key, partial):
-        win, groups = key
-        return (win,) + groups + (self._result(partial),)
-
-    def _emit_result(self, key, partial):
-        row = self._out_row(key, partial)
-        if row[self._agg_out_idx] is None:
-            return
-        if self.output_guards:
-            self.counters.work_units += self.guard_check_cost
-            if self.output_guards.drop(row):
-                self.counters.guard_drops += 1
-                return
-        self.counters.work_units += self.emit_cost
-        self.emit(row)
+    def _emit_results(self, keys) -> None:
+        """Emit the results of windows ``keys`` in order, taking them out of
+        the state; a window that saw only null values has none."""
+        state = self.state
+        rows = [(w,) + g + (self._result(state.pop((w, g))),) for w, g in keys]
+        self.emit_rows([r for r in rows if r[-1] is not None], self.emit_cost)
 
     def _close_windows(self, ts_bound: int) -> None:
         """Close every window fully covered by the progress bound."""
-        closing = sorted(k for k in self.state if k[0] + self.range - 1 <= ts_bound)
-        for key in closing:
-            self._emit_result(key, self.state.pop(key))
+        self._emit_results(sorted(k for k in self.state if k[0] + self.range - 1 <= ts_bound))
         stale = {k for k in self.suppressed if k[0] + self.range - 1 <= ts_bound}
         self.suppressed -= stale
         # every window starting at or before last_win is now complete
         last_win = (ts_bound + 1) // self.range * self.range - self.range
         if self._out_punct_bound is None or last_win > self._out_punct_bound:
             self._out_punct_bound = last_win
-            p = Pattern.progress(self.out_schema, last_win)
-            self.output_guards.expire(p)
-            self.emit(EmbeddedPunctuation(p))
+            self.emit(EmbeddedPunctuation(Pattern.progress(self.out_schema, last_win)))
 
     def finish(self):
-        for key in sorted(self.state):
-            self._emit_result(key, self.state[key])
         if self.state:
             last_win = max(k[0] for k in self.state)
-            p = Pattern.progress(self.out_schema, last_win)
-            self.output_guards.expire(p)
-            self.emit(EmbeddedPunctuation(p))
-        self.state.clear()
+            self._emit_results(sorted(self.state))
+            self.emit(EmbeddedPunctuation(Pattern.progress(self.out_schema, last_win)))
         self.suppressed.clear()
 
     # -- feedback -----------------------------------------------------
@@ -945,7 +731,7 @@ class WindowAggregate(Operator):
         agg_only = constrained == (self._agg_out_idx,)
         group_only = self._agg_out_idx not in constrained
         if self.feedback_mode == "output_guard" or (not agg_only and not group_only):
-            self.output_guards.add(pat)
+            self.output_guards[0].add(pat)
             return
         if group_only:
             self._exploit_group_pattern(pat)
@@ -954,24 +740,21 @@ class WindowAggregate(Operator):
 
     def _exploit_group_pattern(self, pat: Pattern) -> None:
         matcher = pat.matcher()
-        doomed = [k for k in sorted(self.state) if matcher(self._probe_row(k))]
+        # a window's key as an output row with its aggregate left null
+        doomed = [k for k in sorted(self.state) if matcher((k[0],) + k[1] + (None,))]
         for k in doomed:
             del self.state[k]
             self.counters.state_purged += 1
         (back,) = derive_input_patterns(pat, self.mapping)
         if back is not None:
-            self.input_guards.add(back)
+            self.input_guards[0].add(back)
             if self.feedback_mode == "exploit_propagate":
                 self.send_feedback(0, assumed(back))
         else:
             # no inverse mapping: fall back to guarding the output
-            self.output_guards.add(pat)
+            self.output_guards[0].add(pat)
             for k in doomed:
                 self.suppressed.add(k)
-
-    def _probe_row(self, key):
-        win, groups = key
-        return (win,) + groups + (None,)
 
     def _exploit_agg_constraint(self, c: Constraint, pat: Pattern) -> None:
         grows_into = c.op in (Op.GE, Op.GT)
@@ -981,7 +764,7 @@ class WindowAggregate(Operator):
         if not (grows_into and monotone):
             # the partial could still move out of (or into) the described
             # region; only the final value may be checked
-            self.output_guards.add(pat)
+            self.output_guards[0].add(pat)
             return
         propagate = self.feedback_mode == "exploit_propagate"
         doomed = [
@@ -1005,6 +788,8 @@ class Join(Operator):
     attribute followed by the right attributes that are not join keys;
     join attributes therefore originate in both inputs, which is what lets
     feedback on them propagate to both sides."""
+
+    row_cost = 1.0
 
     def __init__(
         self,
@@ -1049,8 +834,6 @@ class Join(Operator):
             origins.append(Origin.from_input((1, i)))
         self.mapping = AttributeMapping(out_schema, (left, right), tuple(origins))
         self.tables = ({}, {})  # key -> list of rows, per input
-        self.input_guards = (GuardSet(), GuardSet())
-        self.output_guards = GuardSet()
         self._ts = (left.timestamp_attr, right.timestamp_attr)
         # purging on a timestamp bound is sound only when matches must
         # share a window or the timestamp itself is a join attribute
@@ -1060,10 +843,6 @@ class Join(Operator):
         )
         self._punct_bound = [None, None]
         self._emitted_bound = None
-
-    @property
-    def active_guard_count(self) -> int:
-        return sum(len(g) for g in self.input_guards) + len(self.output_guards)
 
     def _key(self, input_index, row):
         k = self._keys_of[input_index](row)
@@ -1076,15 +855,9 @@ class Join(Operator):
 
     def process_item(self, input_index, item):
         if type(item) is EmbeddedPunctuation:
-            self.input_guards[input_index].expire(item.pattern)
             b = _punct_ts_bound(item.pattern, self._ts[input_index])
             if b is not None:
                 self._advance_bound(input_index, b)
-            return
-        self.counters.work_units += 1.0
-        guards = self.input_guards[input_index]
-        if guards and guards.drop(item):
-            self.counters.guard_drops += 1
             return
         key = self._key(input_index, item)
         if key is None:
@@ -1098,17 +871,7 @@ class Join(Operator):
             else:
                 right_extra = self._right_extra_of(item)
                 outs = [tuple(m) + right_extra for m in matches]
-            guards = self.output_guards
-            if not guards:
-                self.emit_rows(outs, 1.0)
-            else:
-                counters, emit = self.counters, self.emit
-                for out in outs:
-                    if guards.drop(out):
-                        counters.guard_drops += 1
-                        continue
-                    counters.work_units += 1.0
-                    emit(out)
+            self.emit_rows(outs, 1.0)
         self.tables[input_index].setdefault(key, []).append(item)
 
     def _advance_bound(self, input_index, bound):
@@ -1132,9 +895,7 @@ class Join(Operator):
                     table[key] = kept
                 else:
                     del table[key]
-        p = Pattern.progress(self.out_schema, merged)
-        self.output_guards.expire(p)
-        self.emit(EmbeddedPunctuation(p))
+        self.emit(EmbeddedPunctuation(Pattern.progress(self.out_schema, merged)))
 
     def on_feedback(self, output_port, fb):
         if fb.intent is not Intent.ASSUMED:
@@ -1142,7 +903,7 @@ class Join(Operator):
         self.counters.feedback_received += 1
         derived = derive_input_patterns(fb.pattern, self.mapping)
         if all(p is None for p in derived):
-            self.output_guards.add(fb.pattern)
+            self.output_guards[0].add(fb.pattern)
             return
         for side, pat in enumerate(derived):
             if pat is None:
@@ -1151,9 +912,7 @@ class Join(Operator):
             table = self.tables[side]
             for key in list(table):
                 kept = [r for r in table[key] if not matcher(r)]
-                purged = len(table[key]) - len(kept)
-                if purged:
-                    self.counters.state_purged += purged
+                self.counters.state_purged += len(table[key]) - len(kept)
                 if kept:
                     table[key] = kept
                 else:

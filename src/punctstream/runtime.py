@@ -16,6 +16,15 @@ which charges ``cost`` per row and pages the rows exactly as that many
 at most one punctuation, as its last item; the schedulers therefore count
 a page's inputs when they take it, not per item.
 
+Operators declare guards, a ``GuardSet`` per input and per output port,
+and the engine core applies them.  At intake, in both schedulers, a
+punctuation expires its input's guards before the step; a row is charged
+``row_cost``, then, while its input's guards are live, ``guard_check_cost``,
+and a row they match is counted in ``guard_drops`` instead of stepped.  On
+emit, a punctuation expires its port's guards; while they are live, a row
+is charged ``guard_check_cost`` and dropped if they match it, and only a
+kept row is charged ``emit_rows``'s ``cost``.
+
 When a run starts, each scheduler builds one ``_Turn`` per operator: its
 step (``generate`` or ``process_item``) and handlers looked up then, its
 output control and page queues, its inputs and where it resumes.  The
@@ -42,7 +51,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
-from punctstream.core import EmbeddedPunctuation, FeedbackPunctuation, is_punct
+from punctstream.core import EmbeddedPunctuation, FeedbackPunctuation, GuardSet, is_punct
 
 DEFAULT_PAGE_SIZE = 100
 DEFAULT_QUEUE_PAGES = 8
@@ -87,10 +96,16 @@ class Counters:
 
 class Operator:
     """Base class; state is private to the instance, interaction goes
-    through the runtime context only."""
+    through the runtime context only.  It declares a ``GuardSet`` per
+    input and per output port, for ``on_feedback`` to add to, and the work
+    units an arriving row (``row_cost``) and a guard test
+    (``guard_check_cost``) cost, per kind or, as a plan parameter, per
+    instance; the engine applies them."""
 
     n_outputs = 1
     is_source = False
+    row_cost = 0.0
+    guard_check_cost = 0.0
 
     def __init__(self, node_id: str, input_schemas: tuple, output_schemas: tuple):
         self.id = node_id
@@ -98,7 +113,13 @@ class Operator:
         self.output_schemas = tuple(output_schemas)
         self.counters = Counters()
         self.mapping = None  # AttributeMapping, set by subclasses that relay feedback
+        self.input_guards = tuple(GuardSet() for _ in self.input_schemas)
+        self.output_guards = tuple(GuardSet() for _ in self.output_schemas)
         self._ctx = None  # the engine, while it runs this operator
+
+    @property
+    def active_guard_count(self) -> int:
+        return sum(map(len, self.input_guards + self.output_guards))
 
     # -- engine-facing ------------------------------------------------
     def process_item(self, input_index: int, item) -> None:
@@ -115,14 +136,15 @@ class Operator:
 
     # -- helpers for subclasses ---------------------------------------
     def emit(self, item, port: int = 0) -> None:
-        """Queue ``item`` on output ``port``.  A running engine replaces
-        this per instance with an emitter bound to its output buffers."""
+        """Queue ``item`` on output ``port``, unless it is a row that the
+        port's guards drop.  A running engine replaces this per instance
+        with an emitter bound to its output buffers."""
         raise RunError(f"operator {self.id!r} emits outside a run")
 
     def emit_rows(self, rows: list, cost: float, port: int = 0) -> None:
-        """Charge ``cost`` work units per row and emit each, as that many
-        ``emit`` calls would, in the same order; bound per run like
-        ``emit``."""
+        """Emit each row, as that many ``emit`` calls would, in the same
+        order, charging ``cost`` work units for each row the port's guards
+        keep; bound per run like ``emit``."""
         raise RunError(f"operator {self.id!r} emits outside a run")
 
     def send_feedback(self, input_index: int, fb: FeedbackPunctuation) -> None:
@@ -362,26 +384,52 @@ class _Engine:
     def _emitters(self, op: Operator):
         """``op.emit`` and ``op.emit_rows`` for a run.  Both append to the
         ``(op.id, port)`` buffer, count what they append, and flush a full
-        page or one that ends in a punctuation through ``self._flush``;
-        ``emit_rows`` charges each row's cost just before appending it, so
-        work units add up in the same order as per-row ``emit`` calls."""
+        page or one that ends in a punctuation through ``self._flush``,
+        after applying the port's output guards; ``emit_rows`` charges each
+        kept row's cost just before appending it, so work units add up in
+        the same order as per-row ``emit`` calls."""
         counters = op.counters
         page_size = self.page_size
-        buffers = [self._buffers[(op.id, port)] for port in range(op.n_outputs)]
+        # (buffer, output guards) per port
+        ports = [
+            (self._buffers[(op.id, port)], op.output_guards[port])
+            for port in range(op.n_outputs)
+        ]
+        check_cost = op.guard_check_cost
 
         def emit(item, port: int = 0) -> None:
-            buf = buffers[port]
-            buf.append(item)
-            if type(item) is EmbeddedPunctuation:
-                counters.puncts_out += 1
-                self._flush(op, port)
-            else:
+            buf, guards = ports[port]
+            if type(item) is not EmbeddedPunctuation:
+                if guards:
+                    counters.work_units += check_cost
+                    if guards.drop(item):
+                        counters.guard_drops += 1
+                        return
+                buf.append(item)
                 counters.tuples_out += 1
                 if len(buf) >= page_size:
                     self._flush(op, port)
+                return
+            if guards:
+                guards.expire(item.pattern)
+            buf.append(item)
+            counters.puncts_out += 1
+            self._flush(op, port)
 
         def emit_rows(rows: list, cost: float, port: int = 0) -> None:
-            buf = buffers[port]
+            buf, guards = ports[port]
+            if guards:
+                for row in rows:
+                    counters.work_units += check_cost
+                    if guards.drop(row):
+                        counters.guard_drops += 1
+                        continue
+                    counters.work_units += cost
+                    buf.append(row)
+                    counters.tuples_out += 1
+                    if len(buf) >= page_size:
+                        self._flush(op, port)
+                return
             start, n = 0, len(rows)
             while start < n:
                 # a buffer holds less than a page, so each pass takes a row
@@ -464,7 +512,10 @@ class _Turn:
     looked up then, the control and page queues of its outputs, its inputs,
     and where its next turn resumes.  The deterministic scheduler keeps one
     per unfinished operator in its turn table, the concurrent scheduler one
-    per operator thread."""
+    per operator thread.  A page slice whose input has no live guard goes
+    straight to the step unless the operator has a ``row_cost``: guards
+    change only in ``on_feedback``, between slices, and on a punctuation,
+    which ends its page."""
 
     __slots__ = (
         "op_id", "op", "is_source", "step", "on_feedback", "on_input_end",
@@ -497,6 +548,27 @@ class _Turn:
             self.open.remove(edge)
             self.on_input_end(edge.input_index)
         return bool(ended)
+
+    def walk(self, page: list, index: int) -> None:
+        """Step the operator on ``page`` from input ``index``, charging its
+        ``row_cost`` and applying that input's guards (see the module
+        docstring); the deterministic scheduler inlines the same loop."""
+        op, step = self.op, self.step
+        counters, guards = op.counters, op.input_guards[index]
+        row_cost, check_cost = op.row_cost, op.guard_check_cost
+        for item in page:
+            if type(item) is EmbeddedPunctuation:
+                if guards:
+                    guards.expire(item.pattern)
+                step(index, item)
+                continue
+            counters.work_units += row_cost
+            if guards:
+                counters.work_units += check_cost
+                if guards.drop(item):
+                    counters.guard_drops += 1
+                    continue
+            step(index, item)
 
 
 def _count_page(counters: Counters, page: list) -> None:
@@ -594,6 +666,32 @@ class DeterministicEngine(_Engine):
                                     self._finish(op)
                                     turn.finished = finished = progress = True
                                 break
+                        guards, row_cost = op.input_guards[index], op.row_cost
+                        if guards or row_cost:
+                            check_cost = op.guard_check_cost
+                            # _Turn.walk's loop, inlined: a call per page
+                            # slice is dear on 10-item pages (impute-lag)
+                            for items, item in enumerate(it, items + 1):
+                                if type(item) is EmbeddedPunctuation:
+                                    if guards:
+                                        guards.expire(item.pattern)
+                                    step(index, item)
+                                else:
+                                    counters.work_units += row_cost
+                                    if not guards:
+                                        step(index, item)
+                                    else:
+                                        counters.work_units += check_cost
+                                        if guards.drop(item):
+                                            counters.guard_drops += 1
+                                        else:
+                                            step(index, item)
+                                if counters.work_units - before >= quantum or items >= max_items:
+                                    break
+                            else:
+                                it = None
+                                continue
+                            break
                         for items, item in enumerate(it, items + 1):
                             step(index, item)
                             if counters.work_units - before >= quantum or items >= max_items:
@@ -726,8 +824,11 @@ class ConcurrentEngine(_Engine):
                         continue
                     _count_page(counters, page)
                     index = edge.input_index
-                    for item in page:
-                        process_item(index, item)
+                    if op.row_cost or op.input_guards[index]:
+                        turn.walk(page, index)
+                    else:
+                        for item in page:
+                            process_item(index, item)
             self._finish(op)
         except _Aborted:
             pass

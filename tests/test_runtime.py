@@ -16,6 +16,7 @@ from punctstream.core import (
     AttrType,
     Constraint,
     EmbeddedPunctuation,
+    GuardSet,
     Pattern,
     Schema,
     assumed,
@@ -24,6 +25,7 @@ from punctstream.core import (
 from punctstream.experiments import ImputationLagConfig, ZoomConfig, imputation_plan, zoom_plan
 from punctstream.generators import ZoomSchedule
 from punctstream.operators import REGISTRY, Source
+from punctstream.oracle import def1_check
 from punctstream.runtime import (
     ConcurrentEngine,
     DeterministicEngine,
@@ -113,7 +115,9 @@ def test_double_run_is_byte_identical():
 # (with the page log) and, as one hash, the join plans among
 # random_workload seeds 0-199, each with feedback off and on, at the
 # engine's default quantum (None); recorded before rows were emitted in
-# batches.
+# batches.  "zoom-guard" and "zoom-exploit" pin the aggregate's output and
+# input guards, and the order in which their checks are charged, at the
+# engine's default quantum; recorded before the engine applied the guards.
 PINNED_SCHEDULES = {
     ("zoom-propagate", 0.5): "48f91fab32b8b3ade9fd31eeb0db086cf51b081650943362b44017b5df9f2a60",
     ("zoom-propagate", 3): "0886ef4e11644fc69be188813f16e078f45ac77077f7a2c8c6c0d17de7ebc9de",
@@ -123,6 +127,8 @@ PINNED_SCHEDULES = {
     ("impute-lag", 3): "4a929fd9672ff29e43e5bfb0057d89064543dd5e71830f088f7715eab74c248b",
     ("impute-lag", 37): "4bc263f4a44a87f2ebf76e4e742417082a5b22985c6a814bc305911bd0887ce1",
     ("impute-lag", 1000): "9d416f3f198e6cc3990b466bfb843d44657e0e2f9c54319df72173ff4d939e1d",
+    ("zoom-guard", None): "3150f532872de610904f4624935127897a4a9b9065ee22d4fef6b8e58fc598ae",
+    ("zoom-exploit", None): "e88c5092e04d953a423e3e89b281e3fe90f08ca619bb762d5dd199aedeeaf17d",
     ("zoom-propagate-t0.07-feedback-off", None):
         "45f60f18b34d7442d995316d25bca6403d7ee7d5ffe33e1b849c9f6daa7793e9",
     ("zoom-propagate-t0.07-feedback-on", None):
@@ -146,11 +152,11 @@ def _pinned_digest(study, quantum) -> str:
                     transfer_cost=0.07, **engine_kw,
                 ).run().to_bytes())
         return digest.hexdigest()
-    if study.startswith("zoom-propagate"):
+    if study.startswith("zoom-"):
         cfg = ZoomConfig().scaled(0.01)
         transfer = 0.07 if "-t0.07-" in study else cfg.costs.transfer
         eng = DeterministicEngine(
-            zoom_plan(cfg, "propagate"), REGISTRY, page_size=cfg.page_size,
+            zoom_plan(cfg, study.split("-")[1]), REGISTRY, page_size=cfg.page_size,
             quantum=quantum, feedback_enabled=feedback, transfer_cost=transfer,
             trace_pages=True,
         )
@@ -179,25 +185,37 @@ def test_schedule_is_pinned(study, quantum):
     assert _pinned_digest(study, quantum) == PINNED_SCHEDULES[(study, quantum)]
 
 
+_FLOOR_TURNS = [(0.07, 7), (0.5, 50), (1.15, 115), (3, 300),
+                (0.030000000000000002, 4), (0.07000000000000002, 8), (0.29000000000000004, 30)]
+
+
 @pytest.mark.parametrize(
-    "quantum, longest_turn",
-    [(0.07, 7), (0.5, 50), (1.15, 115), (3, 300),
-     (0.030000000000000002, 4), (0.07000000000000002, 8), (0.29000000000000004, 30)],
+    "quantum, longest_turn, guarded",
+    [(q, n, False) for q, n in _FLOOR_TURNS] + [(q, n, True) for q, n in _FLOOR_TURNS],
+    ids=[f"{q}-{n}" for q, n in _FLOOR_TURNS] + [f"{q}-{n}-dropped" for q, n in _FLOOR_TURNS],
 )
-def test_zero_cost_turns_end_on_the_item_floor(quantum, longest_turn):
+def test_zero_cost_turns_end_on_the_item_floor(quantum, longest_turn, guarded):
     # punctuation costs a select and a sink nothing, so only the floor of
     # _MIN_ITEM_COST per item ends their turns: after the fewest items k
     # with k * _MIN_ITEM_COST >= quantum (values recorded from the
-    # scheduler that compared max(work, items * _MIN_ITEM_COST))
+    # scheduler that compared max(work, items * _MIN_ITEM_COST)).  So does
+    # a row that a guard drops at guard_check_cost 0 before the select sees
+    # it: in the guarded case the select's turns end inside one run of
+    # dropped rows, paged longer than any turn, and a second source that
+    # outlasts the select marks where they end.
     punct = EmbeddedPunctuation(Pattern.of(SCHEMA, ts=C.le(-1)))
     items = []
     for i in range(4):
         items += [(i, 0)] + [punct] * 300
     plan = Plan()
+    if guarded:
+        items = [(ts, 0) for ts in range(1200)]
+        plan.add("tick", "source", schema=SCHEMA, rows=[(ts, 0) for ts in range(5000)])
+        plan.add("tock", "sink", inputs=["tick"])
     plan.add("src", "source", schema=SCHEMA, rows=items)
     plan.add("sel", "select", inputs=["src"], eval_cost=0.0)
     plan.add("out", "sink", inputs=["sel"])
-    eng = DeterministicEngine(plan, REGISTRY, quantum=quantum)
+    eng = DeterministicEngine(plan, REGISTRY, quantum=quantum, page_size=400 if guarded else 100)
     calls = []
     for op_id in ("sel", "out"):
         op = eng.ops[op_id]
@@ -207,10 +225,57 @@ def test_zero_cost_turns_end_on_the_item_floor(quantum, longest_turn):
             process_item(input_index, item)
 
         op.process_item = record
-    eng.run()
+    if guarded:
+        tick, sel = eng.ops["tick"], eng.ops["sel"]
+
+        def generate(budget, generate=tick.generate):
+            calls.append("tick")
+            generate(budget)
+
+        class RecordingGuards(GuardSet):
+            def drop(self, row):
+                calls.append("sel")
+                return super().drop(row)
+
+        tick.generate = generate
+        sel.input_guards = (RecordingGuards(),)
+        sel.input_guards[0].add(Pattern.of(SCHEMA, ts=C.ge(0)))
+    report = eng.run()
     turns = [(op_id, len(list(run))) for op_id, run in itertools.groupby(calls)]
     assert max(n for op_id, n in turns if op_id == "sel") == longest_turn
-    assert max(n for op_id, n in turns if op_id == "out") == longest_turn
+    if guarded:
+        assert report.counters["sel"].guard_drops == 1200
+        assert report.outputs["out"] == []
+    else:
+        assert max(n for op_id, n in turns if op_id == "out") == longest_turn
+
+
+def test_feedback_is_delivered_before_the_backpressure_test():
+    # c is slow, so b's output queue is full when the sink's feedback,
+    # relayed by c, reaches b, and b's input queue is empty.  A turn
+    # delivers feedback before it yields to backpressure, so b relays the
+    # pattern at once and u's guard drops the matching rows while b's
+    # output queue is still full: none of them reach b.
+    plan = Plan()
+    plan.add("src", "source", schema=SCHEMA, rows=[(i, i % 10) for i in range(300)])
+    plan.add("u", "select", inputs=["src"], predicate="datavalue < 5")
+    plan.add("b", "select", inputs=["u"], eval_cost=0.01)
+    plan.add("c", "select", inputs=["b"], eval_cost=3.0)
+    plan.add("out", "sink", inputs=["c"],
+             injections=((17, assumed(Pattern.of(SCHEMA, datavalue=C.le(3)))),))
+    eng = DeterministicEngine(plan, REGISTRY, page_size=2, queue_pages=2, quantum=3)
+    b, b_out, b_in = eng.ops["b"], eng.out_edges["b"][0], eng.in_edges["b"][0]
+    queues_at_delivery = []
+
+    def on_feedback(port, fb, on_feedback=b.on_feedback):
+        queues_at_delivery.append((len(b_out.pages), len(b_in.pages)))
+        on_feedback(port, fb)
+
+    b.on_feedback = on_feedback
+    report = eng.run()
+    assert report.counters["b"].guard_drops == 0
+    assert report.counters["u"].guard_drops > 0
+    assert queues_at_delivery == [(b_out.capacity_pages, 0)]
 
 
 def test_backpressure_bounds_queue_depth():
@@ -442,6 +507,58 @@ def test_concurrent_engine_feedback():
     full = rows(800)
     dropped = [r for r in full if r not in kept]
     assert all(r[1] == 4 for r in dropped)
+
+
+def _concurrent_containment(plan: Plan, **engine_kw):
+    """Run ``plan`` on the concurrent engine with feedback and check every
+    sink's rows against a deterministic run without feedback."""
+    reference = DeterministicEngine(plan, REGISTRY, feedback_enabled=False, **engine_kw).run()
+    eng = ConcurrentEngine(plan, REGISTRY, **engine_kw)
+    report = eng.run()
+    for sink_id, rows_ in reference.outputs.items():
+        ok, witness = def1_check(rows_, report.outputs[sink_id], eng.ops[sink_id].sent_patterns)
+        assert ok, witness
+    return report
+
+
+def test_concurrent_engine_split_port_guard():
+    # one-page queues keep the split within a few pages of the dirty
+    # branch, so most of the guarded range is still ahead of it
+    plan = Plan()
+    data = [(t, None if t % 2 else t % 10) for t in range(1000)]
+    plan.add("src", "source", schema=SCHEMA, rows=data, punct_interval=50)
+    plan.add("split", "split", inputs=["src"])
+    plan.add("clean", "sink", inputs=["split.0"])
+    plan.add("dirty", "sink", inputs=["split.1"],
+             injections=((5, assumed(Pattern.of(SCHEMA, ts=C.le(900)))),))
+    report = _concurrent_containment(plan, page_size=4, queue_pages=1)
+    assert report.counters["split"].guard_drops > 0
+    assert report.counters["split"].feedback_sent == 0
+    assert len(report.outputs["clean"]) == 500
+
+
+def test_concurrent_engine_join_output_guard():
+    # a pattern with a conjunct from each side has no input rewrite: the
+    # join guards its output
+    left_schema = Schema("l", (("a", AttrType.INT), ("lt", AttrType.TIMESTAMP),
+                               ("id", AttrType.INT)), 1)
+    right_schema = Schema("r", (("rt", AttrType.TIMESTAMP), ("id", AttrType.INT),
+                                ("b", AttrType.INT)), 0)
+    plan = Plan()
+    plan.add("l", "source", schema=left_schema,
+             rows=[(50 + i % 7, i, i % 3) for i in range(240)], punct_interval=40)
+    plan.add("r", "source", schema=right_schema,
+             rows=[(i, i % 3, 50 + i % 9) for i in range(240)], punct_interval=40)
+    plan.add("j", "join", inputs=["l", "r"], on=(("id", "id"),))
+    plan.add("out", "sink", inputs=["j"])
+    out_schema = DeterministicEngine(plan, REGISTRY).ops["j"].out_schema
+    plan.nodes["out"].params["injections"] = (
+        (5, assumed(Pattern.of(out_schema, a=C.eq(52), b=C.eq(52)))),
+    )
+    report = _concurrent_containment(plan, page_size=25, queue_pages=1)
+    j = report.counters["j"]
+    assert j.guard_drops > 0
+    assert (j.feedback_sent, j.state_purged) == (0, 0)
 
 
 @pytest.mark.parametrize("failing", ["sel", "out"])
