@@ -32,7 +32,7 @@ from punctstream.generators import (
     reading_rows,
     sensor_rows,
 )
-from punctstream.operators import REGISTRY
+from punctstream.operators import FEEDBACK_LEVELS, REGISTRY
 from punctstream.runtime import DeterministicEngine, Plan, RunReport
 
 
@@ -88,7 +88,7 @@ def imputation_plan(config: ImputationLagConfig) -> Plan:
     )
     plan.add(
         "merge", "pace", inputs=["split.0", "impute"],
-        tolerance=config.tolerance_seconds, enforce=True, feedback=True,
+        tolerance=config.tolerance_seconds, enforce=True,
         feedback_margin=config.feedback_margin, divergence_input=1,
     )
     plan.add("out", "sink", inputs=["merge"])
@@ -136,7 +136,8 @@ def run_imputation_lag(
 # Zoom study
 # ---------------------------------------------------------------------------
 
-SCHEMES = ("none", "guard", "exploit", "propagate")
+# a scheme is the aggregate's feedback level
+SCHEMES = FEEDBACK_LEVELS
 
 
 @dataclass(frozen=True)
@@ -193,12 +194,6 @@ def zoom_plan(config: ZoomConfig, scheme: str) -> Plan:
             seed=config.seed,
         )
     )
-    agg_mode = {
-        "none": "none",
-        "guard": "output_guard",
-        "exploit": "exploit",
-        "propagate": "exploit_propagate",
-    }[scheme]
     plan = Plan()
     plan.add(
         "src", "source", schema=SENSOR_SCHEMA, rows=rows,
@@ -207,11 +202,10 @@ def zoom_plan(config: ZoomConfig, scheme: str) -> Plan:
     plan.add(
         "filter", "select", inputs=["src"], predicate="speed >= 0",
         eval_cost=c.filter_eval, guard_check_cost=c.guard_check,
-        feedback_aware=(scheme == "propagate"),
     )
     plan.add(
         "avg", "average", inputs=["filter"], range_seconds=config.window_seconds,
-        group_by=("seg",), value="speed", feedback_mode=agg_mode,
+        group_by=("seg",), value="speed", feedback=scheme,
         update_cost=c.agg_update, emit_cost=c.result_emit,
         guard_check_cost=c.guard_check,
     )

@@ -8,9 +8,11 @@ purge, and (4) propagation of a rewritten pattern to antecedents, but only
 when each action provably keeps the produced stream sandwiched between the
 full output and the full output minus the feedback subset.
 
-Operators declare guards and the engine applies them: ``on_feedback`` adds
-a pattern to one of ``input_guards`` or ``output_guards``, and the engine
-core (``punctstream.runtime``) drops, charges and counts the rows they
+Each kind declares its ``feedback`` level, one of ``FEEDBACK_LEVELS``
+(the aggregates take it as a parameter), and supplies the ``exploit``
+step that ``Operator.on_feedback`` calls.  Guards added to
+``input_guards`` or ``output_guards`` are applied by the engine core
+(``punctstream.runtime``), which drops, charges and counts the rows they
 match and expires them on punctuation.  Operators keep state purges, the
 aggregate's suppressed windows and propagation.
 """
@@ -28,7 +30,6 @@ from punctstream.core import (
     Constraint,
     EmbeddedPunctuation,
     GuardSet,  # re-exported, next to the operators that fill it
-    Intent,
     Op,
     Pattern,
     Schema,
@@ -44,6 +45,11 @@ from punctstream.propagation import (
     identity_mapping,
 )
 from punctstream.runtime import Operator, PlanError, RunError, SourceOperator
+
+# what an operator does with assumed feedback, each level adding to the one
+# before: ignore it, guard the output, exploit it in the operator (input
+# guards, state purge), relay it upstream
+FEEDBACK_LEVELS = ("none", "guard", "exploit", "propagate")
 
 
 def _punct_ts_bound(pattern: Pattern, ts_idx: int) -> Optional[int]:
@@ -291,26 +297,20 @@ def format_schema_decl(schema: Schema) -> str:
 
 class _InputGuarded(Operator):
     """An operator whose output schema is its input's: assumed feedback
-    guards its input and, with ``propagate``, is relayed upstream through
-    the identity mapping."""
+    guards its input and is relayed upstream through the identity
+    mapping."""
 
-    feedback_aware = True
+    feedback = "propagate"
 
-    def __init__(self, node_id, input_schema: Schema, propagate: bool):
+    def __init__(self, node_id, input_schema: Schema):
         super().__init__(node_id, (input_schema,), (input_schema,))
         self.schema = input_schema
-        self.propagate = propagate
         self.mapping = identity_mapping(input_schema)
 
-    def on_feedback(self, output_port, fb):
-        if not self.feedback_aware or fb.intent is not Intent.ASSUMED:
-            return
-        self.counters.feedback_received += 1
-        self.input_guards[0].add(fb.pattern)
-        if self.propagate:
-            (back,) = derive_input_patterns(fb.pattern, self.mapping)
-            if back is not None:
-                self.send_feedback(0, assumed(back))
+    def exploit(self, output_port, pattern):
+        self.input_guards[0].add(pattern)
+        (back,) = derive_input_patterns(pattern, self.mapping)
+        self.relay(0, back)
 
 
 class Select(_InputGuarded):
@@ -324,14 +324,11 @@ class Select(_InputGuarded):
         predicate="true",
         eval_cost: float = 1.0,
         guard_check_cost: float = 0.0,
-        feedback_aware: bool = True,
-        propagate: bool = True,
     ):
-        super().__init__(node_id, input_schema, propagate)
+        super().__init__(node_id, input_schema)
         self.pred = compile_predicate(predicate, input_schema)
         self.eval_cost = eval_cost
         self.guard_check_cost = guard_check_cost
-        self.feedback_aware = feedback_aware
 
     def process_item(self, input_index, item):
         if type(item) is EmbeddedPunctuation:
@@ -357,9 +354,8 @@ class Impute(_InputGuarded):
         cost: float = 10.0,
         key: Optional[str] = None,
         default=0,
-        propagate: bool = True,
     ):
-        super().__init__(node_id, input_schema, propagate)
+        super().__init__(node_id, input_schema)
         self.cost = cost
         self.key_idx = input_schema.index_of(key) if key else None
         self.default = default
@@ -395,6 +391,7 @@ class Split(Operator):
 
     n_outputs = 2
     row_cost = 1.0
+    feedback = "guard"
 
     def __init__(self, node_id, input_schema: Schema, route="any_null"):
         super().__init__(node_id, (input_schema,), (input_schema, input_schema))
@@ -413,12 +410,6 @@ class Split(Operator):
         else:
             port = 1 if dirty(item) else 0
         self.emit(item, port)
-
-    def on_feedback(self, output_port, fb):
-        if fb.intent is not Intent.ASSUMED:
-            return
-        self.counters.feedback_received += 1
-        self.output_guards[output_port].add(fb.pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +437,6 @@ class Pace(Operator):
         input_schemas: tuple,
         tolerance: Optional[int] = None,
         enforce: bool = True,
-        feedback: bool = True,
         throttle: Optional[int] = None,
         feedback_margin: int = 0,
         divergence_input: Optional[int] = None,
@@ -461,7 +451,6 @@ class Pace(Operator):
         self.schema = first
         self.tolerance = tolerance
         self.enforce = enforce
-        self.feedback = feedback
         self.throttle = throttle if throttle is not None else (
             max(1, tolerance // 2) if tolerance else None
         )
@@ -519,8 +508,6 @@ class Pace(Operator):
                 self.emit(item)  # else too late: ignored
         else:
             self.emit(item)
-        if not self.feedback:
-            return
         fb_bound = threshold + self.feedback_margin
         last = self.last_feedback_watermark
         if last is None or fb_bound >= last + self.throttle:
@@ -537,7 +524,7 @@ class Pace(Operator):
 
 class Union(Pace):
     def __init__(self, node_id, input_schemas):
-        super().__init__(node_id, input_schemas, tolerance=None, enforce=False, feedback=False)
+        super().__init__(node_id, input_schemas, tolerance=None, enforce=False)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +580,7 @@ class WindowAggregate(Operator):
         range_seconds: int,
         group_by: tuple = (),
         value: Optional[str] = None,
-        feedback_mode: str = "exploit_propagate",
+        feedback: str = "propagate",
         update_cost: float = 1.0,
         emit_cost: float = 1.0,
         guard_check_cost: float = 0.0,
@@ -603,8 +590,10 @@ class WindowAggregate(Operator):
             raise ValueError(f"unknown aggregate kind {kind!r}")
         if range_seconds <= 0:
             raise ValueError("window range must be positive")
-        if feedback_mode not in ("none", "output_guard", "exploit", "exploit_propagate"):
-            raise ValueError(f"unknown feedback mode {feedback_mode!r}")
+        if feedback not in FEEDBACK_LEVELS:
+            raise ValueError(
+                f"feedback must be one of {', '.join(FEEDBACK_LEVELS)}, got {feedback!r}"
+            )
         if kind != "count" and value is None:
             raise ValueError(f"{kind} aggregate needs a value attribute")
         self.kind = kind
@@ -622,7 +611,7 @@ class WindowAggregate(Operator):
         out_schema = Schema(f"{input_schema.name}_{kind}", tuple(out_attrs), 0)
         super().__init__(node_id, (input_schema,), (out_schema,))
         self.out_schema = out_schema
-        self.feedback_mode = feedback_mode
+        self.feedback = feedback
         self.update_cost = update_cost
         self.emit_cost = emit_cost
         self.guard_check_cost = guard_check_cost
@@ -678,7 +667,7 @@ class WindowAggregate(Operator):
         if self._value_feedback:
             cur = self._result(partial)
             if cur is not None and any(test(cur) for test in self._value_feedback):
-                self._suppress_key(key, propagate=self.feedback_mode == "exploit_propagate")
+                self._suppress_key(key)
 
     def _emit_results(self, keys) -> None:
         """Emit the results of windows ``keys`` in order, taking them out of
@@ -706,37 +695,30 @@ class WindowAggregate(Operator):
         self.suppressed.clear()
 
     # -- feedback -----------------------------------------------------
-    def _suppress_key(self, key, propagate: bool) -> None:
+    def _suppress_key(self, key) -> None:
         if key in self.state:
             del self.state[key]
             self.counters.state_purged += 1
         self.suppressed.add(key)
-        if propagate:
-            win, groups = key
-            names = self.out_schema.attr_names
-            by = {"win": Constraint.eq(win)}
-            for name, g in zip(names[1:-1], groups):
-                by[name] = Constraint.eq(g)
-            out_pat = Pattern.of(self.out_schema, **by)
-            (back,) = derive_input_patterns(out_pat, self.mapping)
-            if back is not None:
-                self.send_feedback(0, assumed(back))
+        if self.feedback != "propagate":
+            return
+        win, groups = key
+        names = self.out_schema.attr_names
+        by = {"win": Constraint.eq(win)}
+        for name, g in zip(names[1:-1], groups):
+            by[name] = Constraint.eq(g)
+        out_pat = Pattern.of(self.out_schema, **by)
+        (back,) = derive_input_patterns(out_pat, self.mapping)
+        self.relay(0, back)
 
-    def on_feedback(self, output_port, fb):
-        if self.feedback_mode == "none" or fb.intent is not Intent.ASSUMED:
-            return
-        self.counters.feedback_received += 1
-        pat = fb.pattern
-        constrained = pat.constrained_indices()
-        agg_only = constrained == (self._agg_out_idx,)
-        group_only = self._agg_out_idx not in constrained
-        if self.feedback_mode == "output_guard" or (not agg_only and not group_only):
-            self.output_guards[0].add(pat)
-            return
-        if group_only:
-            self._exploit_group_pattern(pat)
-            return
-        self._exploit_agg_constraint(pat.constraints[self._agg_out_idx], pat)
+    def exploit(self, output_port, pattern):
+        constrained = pattern.constrained_indices()
+        if self._agg_out_idx not in constrained:
+            self._exploit_group_pattern(pattern)
+        elif constrained == (self._agg_out_idx,):
+            self._exploit_agg_constraint(pattern.constraints[self._agg_out_idx], pattern)
+        else:
+            self.output_guards[0].add(pattern)
 
     def _exploit_group_pattern(self, pat: Pattern) -> None:
         matcher = pat.matcher()
@@ -748,8 +730,7 @@ class WindowAggregate(Operator):
         (back,) = derive_input_patterns(pat, self.mapping)
         if back is not None:
             self.input_guards[0].add(back)
-            if self.feedback_mode == "exploit_propagate":
-                self.send_feedback(0, assumed(back))
+            self.relay(0, back)
         else:
             # no inverse mapping: fall back to guarding the output
             self.output_guards[0].add(pat)
@@ -766,14 +747,13 @@ class WindowAggregate(Operator):
             # region; only the final value may be checked
             self.output_guards[0].add(pat)
             return
-        propagate = self.feedback_mode == "exploit_propagate"
         doomed = [
             k
             for k in sorted(self.state)
             if (v := self._result(self.state[k])) is not None and c.matches_value(v)
         ]
         for k in doomed:
-            self._suppress_key(k, propagate)
+            self._suppress_key(k)
         if self.kind == "max":
             self._value_feedback.append(c.compile())
 
@@ -790,6 +770,7 @@ class Join(Operator):
     feedback on them propagate to both sides."""
 
     row_cost = 1.0
+    feedback = "propagate"
 
     def __init__(
         self,
@@ -897,13 +878,10 @@ class Join(Operator):
                     del table[key]
         self.emit(EmbeddedPunctuation(Pattern.progress(self.out_schema, merged)))
 
-    def on_feedback(self, output_port, fb):
-        if fb.intent is not Intent.ASSUMED:
-            return
-        self.counters.feedback_received += 1
-        derived = derive_input_patterns(fb.pattern, self.mapping)
+    def exploit(self, output_port, pattern):
+        derived = derive_input_patterns(pattern, self.mapping)
         if all(p is None for p in derived):
-            self.output_guards[0].add(fb.pattern)
+            self.output_guards[0].add(pattern)
             return
         for side, pat in enumerate(derived):
             if pat is None:
@@ -918,7 +896,7 @@ class Join(Operator):
                 else:
                     del table[key]
             self.input_guards[side].add(pat)
-            self.send_feedback(side, assumed(pat))
+            self.relay(side, pat)
 
 
 # ---------------------------------------------------------------------------

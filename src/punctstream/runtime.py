@@ -51,7 +51,9 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple
 
-from punctstream.core import EmbeddedPunctuation, FeedbackPunctuation, GuardSet, is_punct
+from punctstream.core import (
+    EmbeddedPunctuation, FeedbackPunctuation, GuardSet, Intent, assumed, is_punct,
+)
 
 DEFAULT_PAGE_SIZE = 100
 DEFAULT_QUEUE_PAGES = 8
@@ -100,12 +102,14 @@ class Operator:
     input and per output port, for ``on_feedback`` to add to, and the work
     units an arriving row (``row_cost``) and a guard test
     (``guard_check_cost``) cost, per kind or, as a plan parameter, per
-    instance; the engine applies them."""
+    instance; the engine applies them.  ``feedback`` is the kind's level
+    of response to assumed feedback, one of ``operators.FEEDBACK_LEVELS``."""
 
     n_outputs = 1
     is_source = False
     row_cost = 0.0
     guard_check_cost = 0.0
+    feedback = "none"
 
     def __init__(self, node_id: str, input_schemas: tuple, output_schemas: tuple):
         self.id = node_id
@@ -126,7 +130,21 @@ class Operator:
         raise NotImplementedError
 
     def on_feedback(self, output_port: int, fb: FeedbackPunctuation) -> None:
-        """Default: feedback-unaware, message discarded, counters unchanged."""
+        """At level ``none``, or for an intent other than assumed, discard
+        ``fb`` uncounted; else count it, then at ``guard`` guard the port's
+        output, and above ``guard`` hand it to ``exploit``."""
+        level = self.feedback
+        if level == "none" or fb.intent is not Intent.ASSUMED:
+            return
+        self.counters.feedback_received += 1
+        if level == "guard":
+            self.output_guards[output_port].add(fb.pattern)
+        else:
+            self.exploit(output_port, fb.pattern)
+
+    def exploit(self, output_port: int, pattern) -> None:
+        """The kind's guards and purges for ``pattern``, and ``relay``."""
+        raise NotImplementedError
 
     def on_input_end(self, input_index: int) -> None:
         pass
@@ -149,6 +167,11 @@ class Operator:
 
     def send_feedback(self, input_index: int, fb: FeedbackPunctuation) -> None:
         self._ctx.send_feedback(self, input_index, fb)
+
+    def relay(self, input_index: int, pattern) -> None:
+        """At level ``propagate``, send ``pattern``, if any, upstream."""
+        if pattern is not None and self.feedback == "propagate":
+            self.send_feedback(input_index, assumed(pattern))
 
 
 class SourceOperator(Operator):

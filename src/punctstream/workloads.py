@@ -14,7 +14,7 @@ from typing import Callable, Tuple
 
 from punctstream.core import AttrType, Constraint, Pattern, Schema, assumed
 from punctstream.generators import READING_SCHEMA, round_tenths
-from punctstream.operators import REGISTRY
+from punctstream.operators import FEEDBACK_LEVELS, REGISTRY
 from punctstream.oracle import OracleResult, oracle_check
 from punctstream.runtime import Plan
 
@@ -105,8 +105,7 @@ def random_workload(seed: int) -> Tuple[Callable[[], Plan], dict, str]:
     if kind in ("count", "sum", "average", "max"):
         group = rng.choice([(), ("det",)])
         params = {"range_seconds": 60, "group_by": group,
-                  "feedback_mode": rng.choice(
-                      ["none", "output_guard", "exploit", "exploit_propagate"])}
+                  "feedback": rng.choice(FEEDBACK_LEVELS)}
         if kind != "count":
             params["value"] = "speed"
         if kind == "sum" and rng.random() < 0.5:
@@ -125,7 +124,7 @@ def random_workload(seed: int) -> Tuple[Callable[[], Plan], dict, str]:
         return (
             lambda: base_plan(inj),
             engine_kw,
-            f"{kind} n={n} group={group} mode={params['feedback_mode']}",
+            f"{kind} n={n} group={group} feedback={params['feedback']}",
         )
 
     if kind == "join":
@@ -194,7 +193,7 @@ def random_workload(seed: int) -> Tuple[Callable[[], Plan], dict, str]:
         plan.add("sa", "select", inputs=["a"])
         plan.add("sb", "select", inputs=["b"])
         plan.add("op", "pace", inputs=["sa", "sb"], tolerance=tolerance,
-                 enforce=False, feedback=True)
+                 enforce=False)
         plan.add("out", "sink", inputs=["op"])
         return plan
 

@@ -91,14 +91,14 @@ SENSOR = Schema(
 )
 
 
-def _agg_plan(kind, injections, mode="exploit_propagate", **agg):
+def _agg_plan(kind, injections, feedback="propagate", **agg):
     rows = [(d, t, float(10 * d + t % 5)) for t in range(300) for d in (1, 2, 3)]
 
     def make():
         plan = Plan()
         plan.add("src", "source", schema=SENSOR, rows=rows, punct_interval=60)
         plan.add("agg", kind, inputs=["src"], range_seconds=60, group_by=("det",),
-                 feedback_mode=mode, **agg)
+                 feedback=feedback, **agg)
         plan.add("out", "sink", inputs=["agg"], injections=injections)
         return plan
 

@@ -11,8 +11,16 @@ from collections import Counter
 
 import pytest
 
-from punctstream.core import AttrType, Constraint, Pattern, Schema, assumed
-from punctstream.operators import REGISTRY
+from punctstream.core import (
+    AttrType,
+    Constraint,
+    FeedbackPunctuation,
+    Intent,
+    Pattern,
+    Schema,
+    assumed,
+)
+from punctstream.operators import FEEDBACK_LEVELS, REGISTRY
 from punctstream.oracle import oracle_check
 from punctstream.runtime import DeterministicEngine, Plan
 
@@ -29,7 +37,7 @@ def sensor_rows(n_seconds, dets=(1, 2, 3)):
     return [(d, t, float(10 * d + t % 5)) for t in range(n_seconds) for d in dets]
 
 
-def agg_plan(kind, injections, n_seconds=300, feedback_mode="exploit_propagate", **agg):
+def agg_plan(kind, injections, n_seconds=300, feedback="propagate", **agg):
     def make():
         plan = Plan()
         plan.add(
@@ -41,7 +49,7 @@ def agg_plan(kind, injections, n_seconds=300, feedback_mode="exploit_propagate",
             inputs=["src"],
             range_seconds=60,
             group_by=("det",),
-            feedback_mode=feedback_mode,
+            feedback=feedback,
             **agg,
         )
         plan.add("out", "sink", inputs=["agg"], injections=injections)
@@ -130,12 +138,43 @@ class TestCountFeedback:
         out = self.agg_schema()
         inj = ((2, assumed(Pattern.of(out, det=C.eq(2)))),)
         res = oracle_check(
-            agg_plan("count", inj, feedback_mode="output_guard"), REGISTRY, page_size=30
+            agg_plan("count", inj, feedback="guard"), REGISTRY, page_size=30
         )
         assert res.ok, res.witness
         agg = res.observed.counters["agg"]
         assert agg.state_purged == 0 and agg.feedback_sent == 0
         assert agg.guard_drops > 0
+
+
+# --- the shared dispatch ----------------------------------------------------
+
+
+def dispatch_run(feedback, intent=Intent.ASSUMED):
+    """A count aggregate at level ``feedback`` sent one group pattern;
+    returns the operator and its counters after the run."""
+    out = DeterministicEngine(agg_plan("count", ())(), REGISTRY).ops["agg"].out_schema
+    fb = FeedbackPunctuation(intent, Pattern.of(out, det=C.eq(2)))
+    eng = DeterministicEngine(agg_plan("count", ((2, fb),), feedback=feedback)(), REGISTRY)
+    report = eng.run()
+    return eng.ops["agg"], report.counters["agg"]
+
+
+@pytest.mark.parametrize("feedback", FEEDBACK_LEVELS)
+def test_dispatch_applies_the_level(feedback):
+    agg, counters = dispatch_run(feedback)
+    assert counters.feedback_received == (feedback != "none")
+    # a group pattern is not covered by the progress punctuation, so the
+    # guards it installs are still live when the run ends
+    assert len(agg.output_guards[0]) == (feedback == "guard")
+    assert len(agg.input_guards[0]) == (feedback in ("exploit", "propagate"))
+    assert counters.feedback_sent == (feedback == "propagate")
+
+
+@pytest.mark.parametrize("intent", [Intent.DESIRED, Intent.DEMANDED])
+def test_dispatch_discards_other_intents_uncounted(intent):
+    agg, counters = dispatch_run("propagate", intent)
+    assert counters.feedback_received == 0 and counters.feedback_sent == 0
+    assert agg.active_guard_count == 0
 
 
 # --- average and sum --------------------------------------------------------

@@ -394,8 +394,8 @@ def test_pace_drops_rows_beyond_tolerance():
     # branch b lags 50 behind the watermark set by branch a; tolerance 10
     a = [(1, t + 50, 50.0) for t in range(20)]
     b = [(2, t, 60.0) for t in range(20)]
-    plan = pace_plan(a, b, tolerance=10, feedback=False)
-    eng = DeterministicEngine(plan, REGISTRY, page_size=5)
+    plan = pace_plan(a, b, tolerance=10)
+    eng = DeterministicEngine(plan, REGISTRY, page_size=5, feedback_enabled=False)
     report = eng.run()
     pace = eng.ops["pace"]
     assert pace.late_counts[1] > 0

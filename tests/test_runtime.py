@@ -363,19 +363,25 @@ def test_unconnected_output_rejected():
         ("sel", "mystery", {}, "'mystery'"),
         ("j", "join", {"window": 0}, "window"),
         ("j", "join", {"window": -60}, "window"),
+        ("c", "count", {"feedback": "exploit_propagate"}, "'exploit_propagate'"),
+        ("sel", "select", {"feedback_aware": False}, "'feedback_aware'"),
     ],
     ids=[
         "unknown-parameter", "wrong-type", "bad-value", "unknown-kind",
-        "join-window-zero", "join-window-negative",
+        "join-window-zero", "join-window-negative", "old-feedback-level",
+        "removed-parameter",
     ],
 )
 def test_plan_build_error_names_the_node(node, kind, params, named):
     plan = linear_plan(10)
-    # beside the linear chain, a join of two more sources
+    # beside the linear chain, a join of two more sources and a count
     plan.add("jl", "source", schema=SCHEMA, rows=rows(10))
     plan.add("jr", "source", schema=SCHEMA, rows=rows(10))
     plan.add("j", "join", inputs=["jl", "jr"], on=(("ts", "ts"), ("datavalue", "datavalue")))
     plan.add("jout", "sink", inputs=["j"])
+    plan.add("cs", "source", schema=SCHEMA, rows=rows(10))
+    plan.add("c", "count", inputs=["cs"], range_seconds=60)
+    plan.add("cout", "sink", inputs=["c"])
     assert DeterministicEngine(plan, REGISTRY).run().outputs["jout"]
     plan.nodes[node].kind = kind
     plan.nodes[node].params.update(params)
