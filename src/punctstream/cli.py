@@ -79,19 +79,24 @@ def _cmd_zoom(args) -> int:
     )
     if args.scale != 1.0:
         config = config.scaled(args.scale)
-    print("scheme,work_units,savings_vs_none,result_rows,wall_seconds")
+    print(
+        "scheme,work_units,savings_vs_none,result_rows,wall_seconds,"
+        "run_seconds,wall_savings_vs_none"
+    )
     if args.scheme == "all":
         results = run_zoom_suite(config)
-        saved = savings(results)
-        for scheme in SCHEMES:
-            r = results[scheme]
-            pct = saved.get(scheme, 0.0) * 100.0
-            print(
-                f"{scheme},{r.work_units:.0f},{pct:.1f}%,{r.result_rows},{r.wall_seconds:.2f}"
-            )
-    else:
-        r = run_zoom(config, args.scheme)
-        print(f"{args.scheme},{r.work_units:.0f},,{r.result_rows},{r.wall_seconds:.2f}")
+        saved = {"none": 0.0, **savings(results)}
+        wall_saved = {"none": 0.0, **savings(results, "run_seconds")}
+    else:  # no reference run: no savings
+        results = {args.scheme: run_zoom(config, args.scheme)}
+        saved = wall_saved = {}
+    for scheme, r in results.items():
+        pct = f"{saved[scheme] * 100.0:.1f}%" if saved else ""
+        wall_pct = f"{wall_saved[scheme] * 100.0:.1f}%" if wall_saved else ""
+        print(
+            f"{scheme},{r.work_units:.0f},{pct},{r.result_rows},"
+            f"{r.wall_seconds:.2f},{r.run_seconds:.3f},{wall_pct}"
+        )
     return 0
 
 

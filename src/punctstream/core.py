@@ -412,39 +412,79 @@ class Pattern:
         return True
 
     def matcher(self) -> Callable[[Row], bool]:
-        """Compiled matcher closure over the non-wildcard constraints,
+        """One closure that tests every non-wildcard constraint inline,
         equivalent to ``matches``.
+
+        The closure is a single expression, one clause per constraint in
+        attribute order, each with ``Constraint.compile``'s null
+        semantics, so it returns and raises what ``matches`` does and a
+        test costs one Python call.  Its source is generated from the
+        attribute indices and op symbols alone and compiled once per
+        shape (``_matcher_factory``); the constraint values are bound as
+        the factory's arguments, never formatted into the source.
 
         The benchmark tracer patches this method on the class and wraps
         each closure it returns, so callers look it up as
         ``pattern.matcher()`` rather than binding it ahead of time."""
-        checks = [
-            (i, c.compile())
-            for i, c in enumerate(self.constraints)
-            if not c.is_wildcard
-        ]
-        if not checks:
-            return lambda row: True
-        if len(checks) == 1:
-            ((i, f),) = checks
-            return lambda row: f(row[i])
-        if len(checks) == 2:
-            (i, f), (j, g) = checks
-            return lambda row: f(row[i]) and g(row[j])
-
-        def match(row):
-            for i, f in checks:
-                if not f(row[i]):
-                    return False
-            return True
-
-        return match
+        shape, values = [], []
+        for i, c in enumerate(self.constraints):
+            op = c.op
+            if op is _ANY:
+                continue
+            if op is not _RANGE:
+                shape.append((i, _PY_SYMBOLS[op]))
+                values.append(c.value)
+            elif c.lo is None or c.hi is None:
+                # null bound: the interpretive test, to keep its errors
+                shape.append((i, None))
+                values.append(c.matches_value)
+            else:
+                shape.append((i, ("<=" if c.lo_incl else "<", "<=" if c.hi_incl else "<")))
+                values += (c.lo, c.hi)
+        shape = tuple(shape)
+        make = _MATCHER_FACTORIES.get(shape)
+        if make is None:
+            make = _MATCHER_FACTORIES[shape] = _matcher_factory(shape)
+        return make(*values)
 
     def format(self) -> str:
         return f"{self.schema.name}: [{', '.join([c.format() for c in self.constraints])}]"
 
     def __str__(self) -> str:
         return self.format()
+
+
+# Python operator of each single-value comparison, for generated matchers
+_PY_SYMBOLS = {**_SYMBOLS, _EQ: "=="}
+# matcher shape -> its factory.  It holds code only, never a pattern's
+# values, and its size is bounded by the shapes a schema admits: in
+# practice a few dozen, against one guard added per feedback message
+_MATCHER_FACTORIES: dict = {}
+
+
+def _matcher_factory(shape: tuple) -> Callable:
+    """Compile ``make(*values)``, which returns the matcher for ``shape``:
+    an ``(attribute index, test)`` per non-wildcard constraint, where the
+    test is a comparison symbol, a pair of them for an interval, or None
+    for a call of the bound ``matches_value``."""
+    params, clauses = [], []
+    for i, test in shape:
+        if test is None:
+            params.append(f"f{i}")
+            clauses.append(f"f{i}(row[{i}])")
+        elif type(test) is tuple:
+            params += (f"lo{i}", f"hi{i}")
+            clauses.append(f"(v := row[{i}]) is not None and lo{i} {test[0]} v {test[1]} hi{i}")
+        else:
+            params.append(f"x{i}")
+            clauses.append(f"(v := row[{i}]) is not None and v {test} x{i}")
+    source = (
+        f"def make({', '.join(params)}):\n"
+        f"    return lambda row: {' and '.join(clauses) or 'True'}\n"
+    )
+    namespace = {}
+    exec(compile(source, "<matcher>", "exec"), namespace)
+    return namespace["make"]
 
 
 def _require_same_schema(a: Pattern, b) -> None:
@@ -536,14 +576,16 @@ def conjoin(p: Pattern, q: Pattern) -> Optional[Pattern]:
 
 
 class _Guard:
-    """A pattern and the keys ``GuardSet`` places and pre-checks it by."""
+    """A pattern, its matcher, and the keys ``GuardSet`` places and
+    pre-checks it by."""
 
-    __slots__ = ("pattern", "eqs", "hi")
+    __slots__ = ("pattern", "matcher", "eqs", "hi")
 
     def __init__(self, pattern: Pattern):
         self.pattern = pattern
+        self.matcher = None  # set by GuardSet.add
         # (attribute index, value) of every equality constraint; the first
-        # one is the guard's bucket in the equality index
+        # one is the guard's key in the probe table
         self.eqs = tuple(
             (i, c.value) for i, c in enumerate(pattern.constraints) if c.op is _EQ
         )
@@ -575,13 +617,17 @@ class GuardSet(dict):
     in insertion order), so ``if guards:`` and ``len(guards)`` cost no
     Python call on the per-row path.
 
-    Invariants, kept incrementally by ``add`` and ``expire``:
+    Invariants, kept by ``add`` and ``expire``:
 
-    - Equality index: a guard with an equality constraint sits in exactly
-      one bucket, keyed by the attribute and value of its first one;
-      every other guard is in the scan list.  ``drop`` probes one bucket
-      per indexed attribute, then the scan list, and decides each
-      candidate with the pattern's compiled matcher.
+    - Probe table: ``_probe`` holds, per attribute that some guard's first
+      equality constrains, ``{value: (matcher, ...)}`` of the guards keyed
+      there, and ``_scan`` the matchers of every other guard, all in
+      insertion order.  Both are rebuilt from the live guards whenever
+      ``add`` or ``expire`` changes them, so ``drop`` only walks tuples:
+      one dict probe per indexed attribute, then one matcher call per
+      candidate guard.  ``drop`` could test the common shapes inline,
+      but it calls the matchers ``Pattern.matcher`` returned, because the
+      benchmark tracer counts pattern matches by wrapping those closures.
     - Subsumption-aware add: no live guard subsumes another, an empty
       pattern is never added, and a pattern subsumed by a live guard is
       skipped.  The rows ``drop`` matches are those matched by the
@@ -594,12 +640,12 @@ class GuardSet(dict):
     The set is changed only from its operator's thread.
     """
 
-    __slots__ = ("_index", "_scan")
+    __slots__ = ("_probe", "_scan")
 
     def __init__(self):
         super().__init__()
-        self._index = {}  # attribute index -> {value: {_Guard: matcher}}
-        self._scan = {}   # _Guard -> matcher, guards without an equality
+        self._probe = ()  # ((attribute index, {value: (matcher, ...)}), ...)
+        self._scan = ()   # (matcher, ...) of the guards without an equality
 
     def add(self, pattern: Pattern) -> bool:
         """Install ``pattern``; False when it changes nothing ``drop``
@@ -614,57 +660,59 @@ class GuardSet(dict):
             g for g in self
             if new.may_subsume(g) and subsumes(pattern, g.pattern)
         ]:
-            self._remove(g)
+            del self[g]
         # looked up on the class at each call: the benchmark tracer
         # patches Pattern.matcher to count guard checks
-        m = pattern.matcher()
+        new.matcher = pattern.matcher()
         self[new] = None
-        if new.eqs:
-            i, x = new.eqs[0]
-            self._index.setdefault(i, {}).setdefault(x, {})[new] = m
-        else:
-            self._scan[new] = m
+        self._rebuild()
         return True
 
     def drop(self, row) -> bool:
-        for i, buckets in self._index.items():
-            bucket = buckets.get(row[i])
-            if bucket:
-                for m in bucket.values():
+        for i, table in self._probe:
+            matchers = table.get(row[i])
+            if matchers is not None:
+                for m in matchers:
                     if m(row):
                         return True
-        for m in self._scan.values():
-            if m(row):
-                return True
+        scan = self._scan
+        if scan:  # empty for every zoom guard: skip the loop
+            for m in scan:
+                if m(row):
+                    return True
         return False
 
     def expire(self, punct_pattern: Pattern) -> int:
         if not self:
             return 0
-        probe = _Guard(punct_pattern)
+        punct = _Guard(punct_pattern)
         # subsumes is looked up in this module at each call, here and in
         # add: the benchmark tracer patches it
         doomed = [
             g for g in self
-            if probe.may_subsume(g) and subsumes(punct_pattern, g.pattern)
+            if punct.may_subsume(g) and subsumes(punct_pattern, g.pattern)
         ]
-        for g in doomed:
-            self._remove(g)
+        if doomed:
+            for g in doomed:
+                del self[g]
+            self._rebuild()
         return len(doomed)
 
-    def _remove(self, g: _Guard) -> None:
-        del self[g]
-        if not g.eqs:
-            del self._scan[g]
-            return
-        i, x = g.eqs[0]
-        buckets = self._index[i]
-        bucket = buckets[x]
-        del bucket[g]
-        if not bucket:
-            del buckets[x]
-            if not buckets:
-                del self._index[i]
+    def _rebuild(self) -> None:
+        """Refill the probe table from the live guards."""
+        probe, scan = {}, []
+        for g in self:
+            if g.eqs:
+                i, x = g.eqs[0]
+                table = probe.get(i)
+                if table is None:
+                    table = probe[i] = {}
+                ms = table.get(x)
+                table[x] = (g.matcher,) if ms is None else ms + (g.matcher,)
+            else:
+                scan.append(g.matcher)
+        self._probe = tuple(probe.items())
+        self._scan = tuple(scan)
 
 
 # ---------------------------------------------------------------------------

@@ -466,7 +466,7 @@ class Pace(Operator):
         self._emitted_bound = None
         self.late_counts = [0] * len(input_schemas)
         self.in_totals = [0] * len(input_schemas)
-        self.sent_patterns: list = []  # what was actually sent, for the oracle
+        self.sent_patterns: list = []  # what was actually queued, for the oracle
         self.divergence_series: list = []
         self._arrivals = 0
 
@@ -515,8 +515,8 @@ class Pace(Operator):
             for i, seen in enumerate(self._input_ts):
                 if seen is not None and seen < fb_bound:
                     pat = Pattern.progress(self.schema, fb_bound)
-                    self.sent_patterns.append(pat)
-                    self.send_feedback(i, assumed(pat))
+                    if self.send_feedback(i, assumed(pat)):
+                        self.sent_patterns.append(pat)
                     sent = True
             if sent:
                 self.last_feedback_watermark = fb_bound
@@ -923,7 +923,7 @@ class Sink(Operator):
         self.collected: list = []
         self.injections = sorted(injections, key=lambda x: x[0])
         self._injected = 0
-        self.sent_patterns: list = []  # what was actually sent, for the oracle
+        self.sent_patterns: list = []  # what was actually queued, for the oracle
         self.time_injector = time_injector
         self.record_divergence = record_divergence
         self.divergence_series: list = []
@@ -955,16 +955,16 @@ class Sink(Operator):
         while self._injected < len(injections) and arrived >= injections[self._injected][0]:
             _, fb = injections[self._injected]
             self._injected += 1
-            self.sent_patterns.append(fb.pattern)
-            self.send_feedback(0, fb)
+            if self.send_feedback(0, fb):
+                self.sent_patterns.append(fb.pattern)
 
     def _observe(self, t: int) -> None:
         """Stream time has advanced to ``t``."""
         self._observed = t
         if self.time_injector is not None:
             for fb in self.time_injector(t):
-                self.sent_patterns.append(fb.pattern)
-                self.send_feedback(0, fb)
+                if self.send_feedback(0, fb):
+                    self.sent_patterns.append(fb.pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,10 @@ class Operator:
         keep; bound per run like ``emit``."""
         raise RunError(f"operator {self.id!r} emits outside a run")
 
-    def send_feedback(self, input_index: int, fb: FeedbackPunctuation) -> None:
-        self._ctx.send_feedback(self, input_index, fb)
+    def send_feedback(self, input_index: int, fb: FeedbackPunctuation) -> bool:
+        """Send ``fb`` upstream on input ``input_index``; True if it was
+        queued, False if the engine dropped it (see ``_Engine.send_feedback``)."""
+        return self._ctx.send_feedback(self, input_index, fb)
 
     def relay(self, input_index: int, pattern) -> None:
         """At level ``propagate``, send ``pattern``, if any, upstream."""
@@ -489,16 +491,20 @@ class _Engine:
     def _wake(self, op_id: str) -> None:
         """Called after something ``op_id`` may be waiting for has changed."""
 
-    def send_feedback(self, op: Operator, input_index: int, fb: FeedbackPunctuation) -> None:
+    def send_feedback(self, op: Operator, input_index: int, fb: FeedbackPunctuation) -> bool:
+        """Queue ``fb`` on the control channel of ``op``'s input; False,
+        with nothing queued or counted, when feedback is off or the edge
+        has closed."""
         if not self.feedback_enabled:
-            return
+            return False
         edge = self.in_edges[op.id][input_index]
         if edge.eos and not edge.pages:
-            return  # closed edge: message dropped
+            return False  # closed edge: message dropped
         edge.control_up.append(fb)
         op.counters.feedback_sent += 1
         self.feedback_log.append((edge.key, fb.intent.value, fb.pattern.format()))
         self._wake(edge.producer)
+        return True
 
     # -- bookkeeping shared by the schedulers ----------------------------
     def _finish(self, op: Operator) -> None:

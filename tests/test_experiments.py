@@ -1,8 +1,12 @@
 """Experiment harness behavior at small scale (the acceptance module runs
 the full-size configurations)."""
 
+import time
+
 import pytest
 
+from punctstream import experiments
+from punctstream.cli import main
 from punctstream.experiments import (
     ImputationLagConfig,
     ZoomConfig,
@@ -83,3 +87,41 @@ class TestZoom:
         s = savings(res)
         assert set(s) == {"guard", "exploit", "propagate"}
         assert all(0.0 < v < 1.0 for v in s.values())
+
+    def test_run_seconds_and_wall_savings_are_reported(self, capsys):
+        res = run_zoom_suite(self.CFG)
+        for r in res.values():
+            assert 0.0 < r.run_seconds <= r.wall_seconds
+        wall = savings(res, "run_seconds")
+        base = res["none"].run_seconds
+        assert wall == {
+            s: 1.0 - r.run_seconds / base for s, r in res.items() if s != "none"
+        }
+        assert main(["zoom", "--scale", "0.02"]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        columns = header.split(",")
+        assert columns[-2:] == ["run_seconds", "wall_savings_vs_none"]
+        assert [line.split(",")[0] for line in lines] == list(res)
+        for line in lines:
+            row = dict(zip(columns, line.split(",")))
+            assert float(row["run_seconds"]) > 0.0
+            assert row["wall_savings_vs_none"].endswith("%")
+            float(row["wall_savings_vs_none"][:-1])
+        assert lines[0].split(",")[-1] == "0.0%"  # none against itself
+        # one scheme alone has no reference run, so no savings
+        assert main(["zoom", "--scale", "0.02", "--scheme", "guard"]) == 0
+        _, line = capsys.readouterr().out.splitlines()
+        row = dict(zip(columns, line.split(",")))
+        assert row["savings_vs_none"] == row["wall_savings_vs_none"] == ""
+        assert float(row["run_seconds"]) > 0.0
+
+    def test_run_seconds_excludes_generating_the_input(self, monkeypatch):
+        real = experiments.sensor_rows
+
+        def slow_rows(config):
+            yield from real(config)
+            time.sleep(0.3)
+
+        monkeypatch.setattr(experiments, "sensor_rows", slow_rows)
+        res = run_zoom(self.CFG, "propagate")
+        assert res.wall_seconds - res.run_seconds >= 0.3

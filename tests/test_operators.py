@@ -2,6 +2,7 @@
 join matching, punctuation handling, and guard expiration."""
 
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -209,6 +210,42 @@ def test_guard_drop_runs_at_most_one_matcher_per_row(monkeypatch):
             hit = guards.drop((0, seg, ts, 1.0))
             assert calls[0] <= 1, (seg, ts)
             assert hit == (seg is not None and seg < 64 and 10 * seg <= ts < 10 * seg + 50)
+            if hit:  # the one call the tracer counts as a pattern match
+                assert calls[0] == 1, (seg, ts)
+
+
+def _python_calls(fn, *args):
+    """Names of the Python functions called while ``fn(*args)`` runs,
+    ``fn`` first; C functions such as ``dict.get`` are not counted."""
+    called = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def test_guard_drop_makes_one_python_call_per_candidate():
+    # the zoom study's shape: one guard per hidden segment
+    zoom = GuardSet()
+    for k in range(8):
+        zoom.add(Pattern.of(GUARDED, seg=C.eq(k), ts=C.interval(10 * k, 10 * k + 50)))
+    for row in ((0, 3, 40, 1.0), (0, 3, 200, 1.0), (0, 3, None, 1.0)):
+        # a guarded segment: its one matcher, hit or miss
+        assert _python_calls(zoom.drop, row) == ["drop", "<lambda>"], row
+    for row in ((0, 8, 40, 1.0), (0, None, 40, 1.0)):
+        assert _python_calls(zoom.drop, row) == ["drop"], row
+    # the imputation study's shape: a bare progress bound
+    impute = GuardSet()
+    impute.add(Pattern.progress(GUARDED, 5))
+    for row in ((0, 1, 3, 1.0), (0, 1, 9, 1.0)):
+        assert _python_calls(impute.drop, row) == ["drop", "<lambda>"], row
 
 
 def test_progress_punctuation_checks_only_covered_guards(monkeypatch):

@@ -280,6 +280,44 @@ def test_matcher_covers_every_arity():
             assert not m(hit[:k] + (None,) + hit[k + 1:])
 
 
+_PAIR = Schema("pair", (("k", AttrType.INT), ("ts", AttrType.TIMESTAMP)), 1)
+
+
+def _outcome(test, row):
+    try:
+        return test(row)
+    except TypeError:
+        return TypeError
+
+
+def test_matcher_tests_constraints_in_attribute_order():
+    p = pat(_PAIR, C.eq(1), C.interval(0, 5))
+    m = p.matcher()
+    # the first constraint fails: the second, which would raise, is not reached
+    assert m((2, "x")) is False and p.matches((2, "x")) is False
+    with pytest.raises(TypeError):
+        p.matches((1, "x"))
+    with pytest.raises(TypeError):
+        m((1, "x"))
+
+
+def test_matcher_keeps_the_reference_errors_of_a_null_bound():
+    for c in (C(Op.RANGE, lo=None, hi=5), C(Op.RANGE, lo=0, hi=None, hi_incl=True)):
+        p = pat(_PAIR, C.wildcard(), c)
+        m = p.matcher()
+        for row in ((0, None), (0, -1), (0, 3), (0, 9)):
+            assert _outcome(m, row) == _outcome(p.matches, row), (c, row)
+
+
+def test_matcher_binds_values_instead_of_formatting_them():
+    text = Schema("named", (("name", AttrType.TEXT), ("ts", AttrType.TIMESTAMP)), 1)
+    odd = "x') or True or ('"
+    m = pat(text, C.eq(odd), C.ge(0)).matcher()
+    assert m((odd, 1))
+    assert not m(("y", 1))
+    assert not m((odd, -1))
+
+
 def test_null_equality_is_empty(ts_value_schema):
     nothing = pat(ts_value_schema, C.wildcard(), C.eq(None))
     some = pat(ts_value_schema, C.wildcard(), C.lt(5))

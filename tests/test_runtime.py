@@ -347,6 +347,35 @@ def test_feedback_disabled_engine_drops_messages():
     assert report.outputs["out"] == rows(500)
 
 
+def test_sent_patterns_record_only_queued_messages():
+    cfg = ImputationLagConfig(n_rows=2000)
+    for enabled in (False, True):
+        eng = DeterministicEngine(
+            imputation_plan(cfg), REGISTRY, page_size=cfg.page_size,
+            feedback_enabled=enabled,
+        )
+        report = eng.run()
+        sent = eng.ops["merge"].sent_patterns
+        assert len(sent) == report.counters["merge"].feedback_sent
+        assert bool(sent) == enabled
+    # a sink that sends at every advance of stream time: what it sends
+    # once its input has closed is dropped, and not recorded
+    attempts = []
+
+    def injector(t):
+        attempts.append(t)
+        return [assumed(Pattern.of(SCHEMA, ts=C.le(t - 50)))]
+
+    # one page per punctuation: the last one reaches the sink after the
+    # select has finished and closed the edge
+    eng = DeterministicEngine(linear_plan(200, punct_interval=50), REGISTRY, page_size=1000)
+    sink = eng.ops["out"]
+    sink.time_injector = injector
+    report = eng.run()
+    assert len(sink.sent_patterns) == report.counters["out"].feedback_sent
+    assert 0 < len(sink.sent_patterns) < len(attempts)
+
+
 def test_unconnected_output_rejected():
     plan = Plan()
     plan.add("src", "source", schema=SCHEMA, rows=rows(10))
